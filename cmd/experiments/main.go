@@ -48,7 +48,6 @@ type cliFlags struct {
 	ids                  *string
 	full                 *bool
 	grid, steps, runs    *int
-	precond              *string
 	seed                 *int64
 	ckptDir              *string
 	ckptEvery            *int
@@ -88,7 +87,6 @@ func newFlagSet(name string) (*flag.FlagSet, *cliFlags) {
 		ids:            fs.String("e", "", "comma-separated experiment IDs (default: all of E1-E13)"),
 		full:           fs.Bool("full", false, "paper-fidelity settings (64x64 grid, 4500 steps, 5 runs)"),
 		grid:           fs.Int("grid", 0, "override the preset's thermal grid resolution (0: keep preset)"),
-		precond:        fs.String("precond", "", "CG preconditioner for all thermal solves: auto, jacobi, ssor, mg (empty: auto)"),
 		steps:          fs.Int("steps", 0, "override the preset's SA steps (0: keep preset)"),
 		runs:           fs.Int("runs", 0, "override the preset's SA run count (0: keep preset)"),
 		seed:           fs.Int64("seed", 0, "override the preset's random seed (0: keep preset)"),
@@ -150,7 +148,6 @@ func main() {
 		cfg.Seed = *seed
 	}
 	cfg.Surrogate = !*noSur
-	cfg.Precond = *f.precond
 	if *benchOut != "" {
 		runBench(cfg, *benchOut)
 		return
@@ -309,7 +306,7 @@ func runBench(cfg experiments.Config, path string) {
 }
 
 // runSolverBench regenerates the BENCH_SOLVER.json artifact: the CG
-// preconditioner ladder (jacobi/ssor/mg) across the given grid sizes plus the
+// preconditioners (jacobi/mg) across the given grid sizes plus the
 // batched multi-RHS throughput comparison (see internal/experiments
 // BenchmarkSolverScaling for the measurement protocol).
 func runSolverBench(gridsCSV, path string) {

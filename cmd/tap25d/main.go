@@ -45,7 +45,6 @@ import (
 type cliFlags struct {
 	systemName, jsonPath, mode, placement *string
 	steps, runs, grid                     *int
-	precond                               *string
 	seed                                  *int64
 	gas, noSur, exact                     *bool
 	outPath, ppmPath                      *string
@@ -87,7 +86,6 @@ func newFlagSet(name string) (*flag.FlagSet, *cliFlags) {
 		steps:      fs.Int("steps", 1000, "SA steps per run (paper: 4500)"),
 		runs:       fs.Int("runs", 1, "independent SA runs, best wins (paper: 5)"),
 		grid:       fs.Int("grid", 64, "thermal grid resolution (paper: 64)"),
-		precond:    fs.String("precond", "auto", "CG preconditioner: auto (jacobi up to grid 64, multigrid beyond), jacobi, ssor, mg"),
 		seed:       fs.Int64("seed", 1, "random seed"),
 		gas:        fs.Bool("gas", false, "use 2-stage gas-station links (Eqn. 9)"),
 		noSur:      fs.Bool("no-surrogate", false, "disable the analytical-surrogate prescreen that is on by default (every SA step pays an exact thermal solve; byte-identical to the pre-surrogate flow)"),
@@ -148,7 +146,6 @@ func main() {
 
 	opt := tap25d.Options{
 		ThermalGrid:       *grid,
-		Precond:           *f.precond,
 		Steps:             *steps,
 		Runs:              *runs,
 		Seed:              *seed,

@@ -30,7 +30,6 @@ func main() {
 		jsonPath   = flag.String("json", "", "JSON system description")
 		placement  = flag.String("placement", "", "JSON placement (required with -json)")
 		grid       = flag.Int("grid", 64, "thermal grid resolution")
-		precond    = flag.String("precond", "auto", "CG preconditioner: auto (jacobi up to grid 64, multigrid beyond), jacobi, ssor, mg")
 		cols       = flag.Int("cols", 72, "ASCII map width")
 		ppmPath    = flag.String("ppm", "", "write a PPM image")
 		transient  = flag.Bool("transient", false, "also trace the power-on step response")
@@ -53,7 +52,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opt := tap25d.Options{ThermalGrid: *grid, Precond: *precond, DisableRecovery: *noRecover}
+	opt := tap25d.Options{ThermalGrid: *grid, DisableRecovery: *noRecover}
 	var observer *tap25d.Observer
 	if *debugAddr != "" || *obsReport != "" {
 		observer = tap25d.NewObserver()
@@ -73,7 +72,7 @@ func main() {
 	}
 	if rec := res.Thermal.Recovery; rec != nil {
 		fmt.Fprintf(os.Stderr,
-			"thermalmap: CG solve recovered (cold restarts %d, precond fallback %v, degraded %v)\n",
+			"thermalmap: CG solve recovered (cold restarts %d, multigrid fallback %v, degraded %v)\n",
 			rec.ColdRestarts, rec.PrecondFallback, rec.Degraded)
 	}
 	fmt.Printf("%s: peak %.2f C, wirelength %.0f mm, feasible(<=%d C): %v\n\n",

@@ -46,24 +46,9 @@ func BenchmarkSurrogate(cfg Config) (*Report, []obs.BenchEntry, error) {
 	}
 	surSec := time.Since(start).Seconds()
 
-	// The multigrid point of the trajectory: the same exact-only flow with
-	// the mg preconditioner forced on. At the paper's 64 grid the two run
-	// neck-and-neck (the hierarchy only pulls ahead at finer grids — see
-	// BENCH_SOLVER.json for the scaling curve); the entry pins that the mg
-	// path stays SA-viable and converges to an equivalent placement.
-	mgOpt := opt
-	mgOpt.Precond = "mg"
-	start = time.Now()
-	mg, err := cfg.place(sys, mgOpt)
-	if err != nil {
-		return nil, nil, err
-	}
-	mgSec := time.Since(start).Seconds()
-
 	totalSteps := float64(cfg.Steps * cfg.Runs)
 	exactRate := totalSteps / exactSec
 	surRate := totalSteps / surSec
-	mgRate := totalSteps / mgSec
 	speedup := surRate / exactRate
 	tempDeltaPct := 100 * math.Abs(sur.PeakC-exact.PeakC) / exact.PeakC
 	wlDeltaPct := 100 * math.Abs(sur.WirelengthMM-exact.WirelengthMM) / exact.WirelengthMM
@@ -77,8 +62,6 @@ func BenchmarkSurrogate(cfg Config) (*Report, []obs.BenchEntry, error) {
 		{Name: "tap25d/e1/surrogate_tap_temp_c", Unit: "C", Value: sur.PeakC},
 		{Name: "tap25d/e1/surrogate_temp_delta_pct", Unit: "%", Value: tempDeltaPct},
 		{Name: "tap25d/e1/surrogate_wl_delta_pct", Unit: "%", Value: wlDeltaPct},
-		{Name: "tap25d/e1/mg_sa_steps_per_sec", Unit: "steps/s", Value: mgRate},
-		{Name: "tap25d/e1/mg_tap_temp_c", Unit: "C", Value: mg.PeakC},
 	}
 	if st := sur.Surrogate; st != nil {
 		entries = append(entries,
@@ -96,21 +79,19 @@ func BenchmarkSurrogate(cfg Config) (*Report, []obs.BenchEntry, error) {
 				Extra: map[string]float64{"steps/s": exactRate}},
 			{Label: "TAP-2.5D surrogate prescreen", TempC: sur.PeakC, WirelengthMM: sur.WirelengthMM,
 				Extra: map[string]float64{"steps/s": surRate, "speedup": speedup}},
-			{Label: "TAP-2.5D exact-only, mg precond", TempC: mg.PeakC, WirelengthMM: mg.WirelengthMM,
-				Extra: map[string]float64{"steps/s": mgRate}},
 		},
 		Notes: []string{
 			fmt.Sprintf("speedup %.2fx at %.0f SA steps per flow; temp delta %.3f%%, WL delta %.2f%%",
 				speedup, totalSteps, tempDeltaPct, wlDeltaPct),
 		},
-		Elapsed: time.Duration((exactSec + surSec + mgSec) * float64(time.Second)),
+		Elapsed: time.Duration((exactSec + surSec) * float64(time.Second)),
 	}
 	if st := sur.Surrogate; st != nil {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"surrogate: %d prescreens, %d rejects (hit rate %.2f), %d audits, %d refits, drift RMS %.3f C",
 			st.Prescreens, st.Rejects, st.HitRate, st.Audits, st.Refits, st.DriftRMSC))
 	}
-	mergeCounters(rep, compact, exact, sur, mg)
+	mergeCounters(rep, compact, exact, sur)
 	return rep, entries, nil
 }
 

@@ -39,9 +39,6 @@ import (
 type Config struct {
 	// ThermalGrid is the thermal resolution (paper: 64).
 	ThermalGrid int
-	// Precond selects the CG preconditioner ("jacobi", "ssor", "mg" or
-	// "auto"/empty — Jacobi up to grid 64, multigrid beyond).
-	Precond string
 	// Steps is the SA budget per run (paper: 4500).
 	Steps int
 	// Runs is the number of independent SA runs (paper: 5).
@@ -219,7 +216,6 @@ func (c Config) withDefaults() Config {
 func (c Config) options() tap25d.Options {
 	return tap25d.Options{
 		ThermalGrid:  c.ThermalGrid,
-		Precond:      c.Precond,
 		Steps:        c.Steps,
 		Runs:         c.Runs,
 		Seed:         c.Seed,
@@ -615,7 +611,7 @@ func E7Scaling(cfg Config) (*Report, error) {
 		gasMS := float64(time.Since(t0).Microseconds()) / 1000
 
 		stack := material.DefaultStackFor(sys.InterposerW, sys.InterposerH)
-		model, err := thermal.NewModel(sys.InterposerW, sys.InterposerH, thermal.Options{Grid: cfg.ThermalGrid, Stack: &stack, Precond: cfg.Precond})
+		model, err := thermal.NewModel(sys.InterposerW, sys.InterposerH, thermal.Options{Grid: cfg.ThermalGrid, Stack: &stack})
 		if err != nil {
 			return nil, err
 		}

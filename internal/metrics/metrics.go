@@ -1,10 +1,9 @@
 // Package metrics defines the evaluation counters shared by the thermal
 // solver, the router and the placer. The incremental thermal fast path
-// (fixed-pattern CSR, delta rasterization, evaluation cache) is only
-// trustworthy when its savings are observable: these counters record how many
-// solves ran, how many matrix assemblies were full rebuilds versus delta
-// updates, how many conjugate-gradient iterations were spent, and how often
-// the placement-keyed evaluation cache short-circuited an evaluation.
+// (fixed-pattern CSR, delta rasterization) is only trustworthy when its
+// savings are observable: these counters record how many solves ran, how many
+// matrix assemblies were full rebuilds versus delta updates, and how many
+// conjugate-gradient iterations were spent.
 //
 // A Counters value is not synchronized: each solver/evaluator owns its own
 // instance, and concurrent annealing runs merge their counters only after
@@ -20,13 +19,8 @@ import "fmt"
 // these snake_case names, and docs/OPERATIONS.md documents them in the same
 // declaration order that String uses.
 type Counters struct {
-	// Evaluations counts placement evaluations requested from an evaluator
-	// (cache hits and misses both count).
+	// Evaluations counts placement evaluations requested from an evaluator.
 	Evaluations int64 `json:"evaluations"`
-	// CacheHits and CacheMisses split Evaluations by whether the
-	// placement-keyed cache short-circuited the thermal solve and routing.
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
 	// ThermalSolves counts steady-state thermal solves actually performed.
 	ThermalSolves int64 `json:"thermal_solves"`
 	// CGIterations sums conjugate-gradient iterations over all solves.
@@ -48,8 +42,8 @@ type Counters struct {
 	// non-convergence (warm state discarded, solve retried from a uniform
 	// initial guess).
 	CGRetries int64 `json:"cg_retries"`
-	// CGFallbackPrecond counts escalations to the SSOR-preconditioned CG
-	// fallback after a cold restart also failed to converge.
+	// CGFallbackPrecond counts escalations to the multigrid-preconditioned
+	// CG fallback after a cold restart also failed to converge.
 	CGFallbackPrecond int64 `json:"cg_fallback_precond"`
 	// StepEvalSkipped counts annealing steps abandoned after a transient
 	// evaluation failure (under Options.EvalFailureBudget) instead of
@@ -128,8 +122,6 @@ type Counters struct {
 // exported and automatically required to be documented.
 func (c Counters) Each(f func(name string, v int64)) {
 	f("evaluations", c.Evaluations)
-	f("cache_hits", c.CacheHits)
-	f("cache_misses", c.CacheMisses)
 	f("thermal_solves", c.ThermalSolves)
 	f("cg_iterations", c.CGIterations)
 	f("full_assembles", c.FullAssembles)
@@ -168,8 +160,6 @@ func (c Counters) Each(f func(name string, v int64)) {
 // Merge adds o into c.
 func (c *Counters) Merge(o Counters) {
 	c.Evaluations += o.Evaluations
-	c.CacheHits += o.CacheHits
-	c.CacheMisses += o.CacheMisses
 	c.ThermalSolves += o.ThermalSolves
 	c.CGIterations += o.CGIterations
 	c.FullAssembles += o.FullAssembles
@@ -217,12 +207,11 @@ func (c Counters) IsZero() bool {
 // exceptions: they are appended only when non-zero, so flows that never touch
 // them keep their historical line format.
 func (c Counters) String() string {
-	s := fmt.Sprintf("evals=%d cache=%d/%d (hit/miss) solves=%d cg_iters=%d "+
+	s := fmt.Sprintf("evals=%d solves=%d cg_iters=%d "+
 		"assembles=%d/%d/%d (full/delta/skip) routes=%d ckpts=%d resumes=%d "+
-		"recovery=%d/%d (cold/ssor) skipped_steps=%d ckpt_retries=%d resume_fallbacks=%d "+
+		"recovery=%d/%d (cold/mg) skipped_steps=%d ckpt_retries=%d resume_fallbacks=%d "+
 		"surrogate=%d/%d/%d/%d (prescreen/reject/audit/refit)",
-		c.Evaluations, c.CacheHits, c.CacheMisses,
-		c.ThermalSolves, c.CGIterations,
+		c.Evaluations, c.ThermalSolves, c.CGIterations,
 		c.FullAssembles, c.DeltaAssembles, c.SkippedAssembles,
 		c.RouteCalls, c.Checkpoints, c.Resumes,
 		c.CGRetries, c.CGFallbackPrecond,

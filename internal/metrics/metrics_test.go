@@ -9,9 +9,9 @@ import (
 
 func TestMergeAccumulates(t *testing.T) {
 	a := Counters{Evaluations: 2, ThermalSolves: 2, CGIterations: 50, FullAssembles: 1, DeltaAssembles: 1}
-	b := Counters{Evaluations: 3, CacheHits: 1, CacheMisses: 2, SkippedAssembles: 4, RouteCalls: 3}
+	b := Counters{Evaluations: 3, SkippedAssembles: 4, RouteCalls: 3}
 	a.Merge(b)
-	if a.Evaluations != 5 || a.CacheHits != 1 || a.CacheMisses != 2 ||
+	if a.Evaluations != 5 ||
 		a.ThermalSolves != 2 || a.CGIterations != 50 ||
 		a.FullAssembles != 1 || a.DeltaAssembles != 1 || a.SkippedAssembles != 4 ||
 		a.RouteCalls != 3 {
@@ -37,17 +37,16 @@ func TestIsZero(t *testing.T) {
 // when non-zero, so flows that never touch it keep the historical format.
 func TestStringStableOrder(t *testing.T) {
 	var zero Counters
-	wantZero := "evals=0 cache=0/0 (hit/miss) solves=0 cg_iters=0 " +
+	wantZero := "evals=0 solves=0 cg_iters=0 " +
 		"assembles=0/0/0 (full/delta/skip) routes=0 ckpts=0 resumes=0 " +
-		"recovery=0/0 (cold/ssor) skipped_steps=0 ckpt_retries=0 resume_fallbacks=0 " +
+		"recovery=0/0 (cold/mg) skipped_steps=0 ckpt_retries=0 resume_fallbacks=0 " +
 		"surrogate=0/0/0/0 (prescreen/reject/audit/refit)"
 	if s := zero.String(); s != wantZero {
 		t.Fatalf("zero counters:\n got %q\nwant %q", s, wantZero)
 	}
 
 	c := Counters{
-		Evaluations: 11, CacheHits: 2, CacheMisses: 9,
-		ThermalSolves: 9, CGIterations: 123,
+		Evaluations: 11, ThermalSolves: 9, CGIterations: 123,
 		FullAssembles: 1, DeltaAssembles: 7, SkippedAssembles: 1,
 		RouteCalls: 9, Checkpoints: 3, Resumes: 1,
 		CGRetries: 2, CGFallbackPrecond: 1,
@@ -56,9 +55,9 @@ func TestStringStableOrder(t *testing.T) {
 		JobsSubmitted: 8, JobsCompleted: 5, JobsFailed: 1, JobsCanceled: 2, JobsResumed: 3,
 		JobsQuotaRejected: 4, JobsDeduped: 6, JobsEventsDropped: 7,
 	}
-	want := "evals=11 cache=2/9 (hit/miss) solves=9 cg_iters=123 " +
+	want := "evals=11 solves=9 cg_iters=123 " +
 		"assembles=1/7/1 (full/delta/skip) routes=9 ckpts=3 resumes=1 " +
-		"recovery=2/1 (cold/ssor) skipped_steps=4 ckpt_retries=2 resume_fallbacks=1 " +
+		"recovery=2/1 (cold/mg) skipped_steps=4 ckpt_retries=2 resume_fallbacks=1 " +
 		"surrogate=20/12/3/1 (prescreen/reject/audit/refit) " +
 		"jobs=8/5/1/2/3 (submit/done/fail/cancel/resume) job_rejects=4/6 (quota/dedup) " +
 		"events_dropped=7"
@@ -71,8 +70,7 @@ func TestStringStableOrder(t *testing.T) {
 // checkpoints, observability reports and the Prometheus counter names.
 func TestJSONSchema(t *testing.T) {
 	c := Counters{
-		Evaluations: 1, CacheHits: 2, CacheMisses: 3,
-		ThermalSolves: 4, CGIterations: 5,
+		Evaluations: 1, ThermalSolves: 4, CGIterations: 5,
 		FullAssembles: 6, DeltaAssembles: 7, SkippedAssembles: 8,
 		RouteCalls: 9, Checkpoints: 10, Resumes: 11,
 		CGRetries: 12, CGFallbackPrecond: 13,
@@ -95,7 +93,7 @@ func TestJSONSchema(t *testing.T) {
 	}
 	sort.Strings(keys)
 	want := []string{
-		"cache_hits", "cache_misses", "cg_fallback_precond", "cg_iterations",
+		"cg_fallback_precond", "cg_iterations",
 		"cg_retries", "checkpoints", "ckpt_write_retries", "delta_assembles",
 		"evaluations", "full_assembles", "jobs_canceled", "jobs_completed",
 		"jobs_deduped", "jobs_failed", "jobs_quota_rejected", "jobs_resumed",

@@ -43,10 +43,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 //
 // A run resumed from a Checkpoint at the same seed is bit-compatible with an
 // uninterrupted run: it visits the same placements, makes the same
-// accept/reject decisions, and returns the same final result. The one
-// documented exception is a CachingEvaluator-wrapped run, whose cache
-// contents are not snapshotted (matching the cache's own reproducibility
-// caveat).
+// accept/reject decisions, and returns the same final result.
 type Checkpoint struct {
 	// Version stamps the snapshot format (CheckpointVersion).
 	Version int `json:"version"`

@@ -79,8 +79,7 @@ func TestJSONLSinkConcurrentEmitters(t *testing.T) {
 // review the diff (docs/OPERATIONS.md documents the schema).
 func TestEventGoldenSchema(t *testing.T) {
 	ctr := metrics.Counters{
-		Evaluations: 42, CacheHits: 10, CacheMisses: 32,
-		ThermalSolves: 32, CGIterations: 640,
+		Evaluations: 42, ThermalSolves: 32, CGIterations: 640,
 		FullAssembles: 1, DeltaAssembles: 30, SkippedAssembles: 1,
 		RouteCalls: 32, Checkpoints: 2, Resumes: 1,
 		SurrogatePrescreens: 180, SurrogateRejects: 150,

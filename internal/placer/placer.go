@@ -48,6 +48,19 @@ type ContextEvaluator interface {
 	EvaluateContext(ctx context.Context, p chiplet.Placement) (tempC, wirelengthMM float64, err error)
 }
 
+// MetricsProvider is implemented by evaluators that expose evaluation
+// counters. Read the counters only after the evaluator's run has finished;
+// they are not synchronized.
+type MetricsProvider interface {
+	Metrics() metrics.Counters
+}
+
+// counterSource lets a wrapping evaluator share its inner evaluator's
+// counter instance, so counts accumulate in one place regardless of nesting.
+type counterSource interface {
+	counters() *metrics.Counters
+}
+
 // evaluate dispatches through EvaluateContext when the evaluator supports it.
 func evaluate(ctx context.Context, ev Evaluator, p chiplet.Placement) (float64, float64, error) {
 	if ce, ok := ev.(ContextEvaluator); ok {

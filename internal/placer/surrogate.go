@@ -3,6 +3,7 @@ package placer
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"math"
@@ -306,4 +307,26 @@ func (s *SurrogateEvaluator) RestoreState(state []byte) error {
 	s.driftSumSq = st.DriftSumSq
 	s.lastKey, s.lastWL, s.haveWL = "", 0, false
 	return nil
+}
+
+// placementKey serializes a placement into an exact byte-for-byte key: the
+// IEEE-754 bits of every center coordinate followed by the rotation flags.
+// Two placements share a key iff they are bit-identical.
+func placementKey(p chiplet.Placement) string {
+	buf := make([]byte, 0, len(p.Centers)*16+len(p.Rotated))
+	var b [8]byte
+	for _, c := range p.Centers {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(c.X))
+		buf = append(buf, b[:]...)
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(c.Y))
+		buf = append(buf, b[:]...)
+	}
+	for _, r := range p.Rotated {
+		if r {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+	}
+	return string(buf)
 }

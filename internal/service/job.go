@@ -69,10 +69,6 @@ type JobSpec struct {
 	Seed         int64 `json:"seed,omitempty"`
 	// GasStation enables 2-stage pipelined routing (Eqn. 9).
 	GasStation bool `json:"gas_station,omitempty"`
-	// Precond selects the CG preconditioner ("jacobi", "ssor", "mg";
-	// empty/"auto" picks Jacobi up to grid 64 and multigrid beyond), as
-	// tap25d.Options.Precond.
-	Precond string `json:"precond,omitempty"`
 	// PowerScenarios, when non-empty, asks the worker to re-evaluate the
 	// final placement under these whole-system power scale factors in one
 	// batched multi-RHS thermal solve; the per-corner peak temperatures are
@@ -106,11 +102,6 @@ func (s *JobSpec) Validate() error {
 	}
 	if s.ThermalGrid < 0 || s.Steps < 0 || s.Runs < 0 || s.CompactSteps < 0 {
 		return fmt.Errorf("thermal_grid, steps, runs and compact_steps must be non-negative")
-	}
-	switch s.Precond {
-	case "", "auto", "jacobi", "ssor", "mg":
-	default:
-		return fmt.Errorf("precond %q: want auto, jacobi, ssor or mg", s.Precond)
 	}
 	if len(s.PowerScenarios) > maxPowerScenarios {
 		return fmt.Errorf("power_scenarios: %d corners exceeds the limit of %d", len(s.PowerScenarios), maxPowerScenarios)

@@ -6,21 +6,6 @@ import (
 	"testing"
 )
 
-func TestJobSpecPrecondValidation(t *testing.T) {
-	for _, pre := range []string{"", "auto", "jacobi", "ssor", "mg"} {
-		spec := testSpec(1)
-		spec.Precond = pre
-		if err := spec.Validate(); err != nil {
-			t.Errorf("precond %q rejected: %v", pre, err)
-		}
-	}
-	spec := testSpec(1)
-	spec.Precond = "ilu"
-	if err := spec.Validate(); err == nil {
-		t.Error("unknown preconditioner accepted")
-	}
-}
-
 func TestJobSpecPowerScenarioValidation(t *testing.T) {
 	spec := testSpec(1)
 	spec.PowerScenarios = []float64{0.8, 1.0, 1.2}

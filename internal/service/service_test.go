@@ -197,6 +197,10 @@ func TestSubmitErrors(t *testing.T) {
 		{`{not json`, http.StatusBadRequest, "bad_json"},
 		{`{"steps": 10}`, http.StatusBadRequest, "bad_spec"},
 		{`{"system":"multigpu","bogus_field":1}`, http.StatusBadRequest, "bad_json"},
+		// The preconditioner is grid-selected; the removed field is as
+		// unknown as any other.
+		{`{"system":"multigpu","precond":"ssor"}`, http.StatusBadRequest, "bad_json"},
+		{`{"system":"multigpu","precond":"mg"}`, http.StatusBadRequest, "bad_json"},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {

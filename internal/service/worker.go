@@ -453,7 +453,6 @@ func (w *Worker) execute(ctx context.Context, job *Job, guard *leaseGuard) (*tap
 	}
 	res, err := tap25d.Place(sys, tap25d.Options{
 		ThermalGrid:     job.Spec.ThermalGrid,
-		Precond:         job.Spec.Precond,
 		Steps:           job.Spec.Steps,
 		Runs:            job.Spec.Runs,
 		CompactSteps:    job.Spec.CompactSteps,
@@ -490,7 +489,6 @@ func (w *Worker) execute(ctx context.Context, job *Job, guard *leaseGuard) (*tap
 func (w *Worker) scenarioPeaks(ctx context.Context, sys *tap25d.System, job *Job, p tap25d.Placement) ([]float64, error) {
 	results, err := tap25d.EvaluateScenarios(sys, p, job.Spec.PowerScenarios, tap25d.Options{
 		ThermalGrid: job.Spec.ThermalGrid,
-		Precond:     job.Spec.Precond,
 		Context:     ctx,
 		Observer:    w.obs,
 	})

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"tap25d/internal/faultinject"
 )
 
 // chainSystem builds the 1-D Laplacian chain — SPD with condition number
@@ -70,5 +72,37 @@ func TestSolveCGContextFreeFunction(t *testing.T) {
 	x := make([]float64, a.N)
 	if _, err := SolveCGContext(ctx, a, x, rhs, CGOptions{Tol: 1e-13}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SolveCGContext error = %v, want context.Canceled", err)
+	}
+}
+
+func TestCGInjectedFaultMatchesNoConvergence(t *testing.T) {
+	a, bvec := chainSystem(64)
+	n := a.N
+	inj := faultinject.New(1)
+	inj.Arm(faultinject.PointCGSolve, faultinject.Spec{At: 2})
+
+	x := make([]float64, n)
+	opt := CGOptions{Inject: inj}
+	// First solve passes through untouched.
+	if _, err := SolveCG(a, x, bvec, opt); err != nil {
+		t.Fatalf("first solve: %v", err)
+	}
+	// Second solve hits the armed point; the error must look like a real
+	// non-convergence AND be identifiable as injected.
+	x2 := make([]float64, n)
+	_, err := SolveCG(a, x2, bvec, opt)
+	if err == nil {
+		t.Fatal("armed injector did not fire")
+	}
+	if !errors.Is(err, ErrNoConvergence) {
+		t.Errorf("injected fault %v does not match ErrNoConvergence", err)
+	}
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Errorf("injected fault %v does not match faultinject.ErrInjected", err)
+	}
+	// Third solve passes again (At fires exactly once).
+	x3 := make([]float64, n)
+	if _, err := SolveCG(a, x3, bvec, opt); err != nil {
+		t.Fatalf("third solve: %v", err)
 	}
 }

@@ -234,8 +234,7 @@ type CGOptions struct {
 	// only cost is one pointer test per iteration.
 	OnIteration func(iter int, residual float64)
 	// Precond, when non-nil, replaces the built-in Jacobi preconditioner in
-	// CGSolver.SolveContext / SolveCG / SolveCGContext (SolveCGSSOR and
-	// SolveGaussSeidel ignore it — they embody their own preconditioners).
+	// CGSolver.SolveContext / SolveCG / SolveCGContext and SolveCGBatch.
 	// A nil Precond keeps the historical Jacobi path, bit for bit; a non-nil
 	// one branches to a separate preconditioned loop before the Jacobi setup
 	// runs, so it cannot perturb default-path arithmetic.

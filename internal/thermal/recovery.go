@@ -22,8 +22,9 @@ type RecoveryInfo struct {
 	// ColdRestarts counts retries from the uniform cold-start guess after
 	// the warm-started attempt failed to converge.
 	ColdRestarts int `json:"cold_restarts"`
-	// PrecondFallback reports that the solve escalated to the stronger
-	// SSOR-preconditioned CG variant.
+	// PrecondFallback reports that the solve escalated to the
+	// multigrid-preconditioned rung (for a multigrid model: to a freshly
+	// re-coarsened hierarchy).
 	PrecondFallback bool `json:"precond_fallback"`
 	// RelaxedTol is the loosened tolerance of the last-resort rung, zero when
 	// that rung never ran.
@@ -41,27 +42,31 @@ func (m *Model) coldGuess() {
 }
 
 // runCG performs one CG attempt on the assembled system with the model's
-// observability trace attached, reusing cg's scratch when available. The
-// model's resolved preconditioner picks the solver variant: "ssor" routes to
-// the standalone SSOR-preconditioned CG, "mg" arrives via opt.Precond (set by
-// solveAssembled), and "jacobi" is the historical fused path.
+// observability trace attached, reusing cg's scratch when available. A nil
+// opt.Precond is the historical fused Jacobi path; otherwise it is the
+// model's multigrid hierarchy (set by solveAssembled or the recovery
+// ladder), whose V-cycles the attempt counts.
 func (m *Model) runCG(ctx context.Context, a *sparse.CSR, cg *sparse.CGSolver, opt sparse.CGOptions) (int, error) {
 	var trace *obs.CGTrace
 	if m.obs.Enabled() {
 		trace = m.obs.StartCG()
 		opt.OnIteration = trace.Observe
 	}
+	var cycles0 int64
+	if opt.Precond != nil {
+		cycles0 = m.mg.Cycles()
+	}
 	var iters int
 	var err error
-	switch {
-	case m.precond == precondSSOR && opt.Precond == nil:
-		iters, err = sparse.SolveCGSSOR(ctx, a, m.temps, m.power, opt)
-	case cg != nil:
+	if cg != nil {
 		iters, err = cg.SolveContext(ctx, m.temps, m.power, opt)
-	default:
+	} else {
 		iters, err = sparse.SolveCGContext(ctx, a, m.temps, m.power, opt)
 	}
 	m.obs.EndCG(trace, iters, err == nil)
+	if opt.Precond != nil {
+		m.addMGCycles(m.mg.Cycles() - cycles0)
+	}
 	return iters, err
 }
 
@@ -77,12 +82,14 @@ func recoverable(ctx context.Context, err error) bool {
 // attempt failed to converge. It escalates through bounded rungs:
 //
 //  1. Cold restart: discard the (possibly misleading) warm state and retry
-//     the same solve — same preconditioner, Jacobi by default — from the
-//     uniform guess.
-//  2. Preconditioner fallback: retry with the stronger SSOR-preconditioned
-//     CG variant, again from a cold start.
-//  3. Relaxed tolerance: one last SSOR attempt at relaxedTolFactor× the
-//     configured tolerance; success is flagged Degraded on the result.
+//     the same solve — same preconditioner — from the uniform guess.
+//  2. Preconditioner fallback: retry under a multigrid hierarchy, again from
+//     a cold start. A Jacobi model builds its hierarchy only here; a
+//     multigrid model re-coarsens its own first, in case a stale hierarchy
+//     is what failed.
+//  3. Relaxed tolerance: one last attempt under the same hierarchy at
+//     relaxedTolFactor× the configured tolerance; success is flagged
+//     Degraded on the result.
 //
 // Each escalation increments its metrics counter and obs extension counter
 // and runs under a labeled span. The first rung to converge wins; when all
@@ -107,15 +114,22 @@ func (m *Model) recoverSolve(ctx context.Context, a *sparse.CSR, cg *sparse.CGSo
 		return rec, iters, err
 	}
 
-	// Rung 2: SSOR-preconditioned fallback, cold start.
-	sp = m.obs.StartSpanCtx(ctx, obs.PhaseThermalSolve, "recover:ssor")
+	// Rung 2: multigrid fallback, cold start.
+	sp = m.obs.StartSpanCtx(ctx, obs.PhaseThermalSolve, "recover:mg")
 	m.coldGuess()
 	rec.PrecondFallback = true
 	if m.ctr != nil {
 		m.ctr.CGFallbackPrecond++
 	}
 	m.obs.Add("cg_fallback_precond", 1)
-	iters, err = sparse.SolveCGSSOR(ctx, a, m.temps, m.power, opt)
+	m.mgStale = true
+	mg, err := m.ensureMG(a)
+	if err != nil {
+		sp.End()
+		return rec, 0, err
+	}
+	opt.Precond = mg
+	iters, err = m.runCG(ctx, a, cg, opt)
 	sp.End()
 	if err == nil {
 		return rec, iters, nil
@@ -130,7 +144,7 @@ func (m *Model) recoverSolve(ctx context.Context, a *sparse.CSR, cg *sparse.CGSo
 	relaxed := opt
 	relaxed.Tol = opt.Tol * relaxedTolFactor
 	rec.RelaxedTol = relaxed.Tol
-	iters, err = sparse.SolveCGSSOR(ctx, a, m.temps, m.power, relaxed)
+	iters, err = m.runCG(ctx, a, cg, relaxed)
 	sp.End()
 	if err == nil {
 		rec.Degraded = true

@@ -12,8 +12,13 @@ import (
 
 func recoveryModel(t *testing.T, inj *faultinject.Injector, ctr *metrics.Counters, disable bool) *Model {
 	t.Helper()
+	return recoveryModelGrid(t, 16, inj, ctr, disable)
+}
+
+func recoveryModelGrid(t *testing.T, grid int, inj *faultinject.Injector, ctr *metrics.Counters, disable bool) *Model {
+	t.Helper()
 	m, err := NewModel(45, 45, Options{
-		Grid: 16, Inject: inj, Counters: ctr, DisableRecovery: disable,
+		Grid: grid, Inject: inj, Counters: ctr, DisableRecovery: disable,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,37 +61,54 @@ func TestRecoveryColdRestart(t *testing.T) {
 	}
 }
 
-// TestRecoverySSORFallback: two consecutive failures escalate to the
-// SSOR-preconditioned rung, which solves to the same configured tolerance.
-func TestRecoverySSORFallback(t *testing.T) {
-	ref := recoveryModel(t, nil, nil, false)
-	want, err := ref.Solve([]Source{centeredSource(100)})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestRecoveryMGFallback: two consecutive failures escalate to the
+// multigrid rung, which solves to the same configured tolerance. A Jacobi
+// model builds its hierarchy only on this rung (one setup); a multigrid model
+// re-coarsens its hierarchy before the retry (a second setup).
+func TestRecoveryMGFallback(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		grid       int
+		wantSetups int64
+	}{
+		{"jacobi-g16", 16, 1},
+		{"mg-g96", 96, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := recoveryModelGrid(t, tc.grid, nil, nil, false)
+			want, err := ref.Solve([]Source{centeredSource(100)})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	inj := faultinject.New(1)
-	inj.Arm(faultinject.PointCGSolve, faultinject.Spec{Every: 1, Count: 2})
-	var ctr metrics.Counters
-	m := recoveryModel(t, inj, &ctr, false)
-	got, err := m.Solve([]Source{centeredSource(100)})
-	if err != nil {
-		t.Fatalf("SSOR rung did not rescue the solve: %v", err)
-	}
-	if got.Recovery == nil || !got.Recovery.PrecondFallback {
-		t.Fatalf("Recovery = %+v, want PrecondFallback", got.Recovery)
-	}
-	if got.Recovery.Degraded {
-		t.Error("SSOR rung marked result degraded")
-	}
-	if ctr.CGRetries != 1 || ctr.CGFallbackPrecond != 1 {
-		t.Errorf("counters = %+v, want CGRetries=1 CGFallbackPrecond=1", ctr)
-	}
-	for i := range want.ChipTempC {
-		if math.Abs(want.ChipTempC[i]-got.ChipTempC[i]) > 1e-4 {
-			t.Fatalf("SSOR result diverges at cell %d: %v != %v",
-				i, got.ChipTempC[i], want.ChipTempC[i])
-		}
+			inj := faultinject.New(1)
+			inj.Arm(faultinject.PointCGSolve, faultinject.Spec{Every: 1, Count: 2})
+			var ctr metrics.Counters
+			m := recoveryModelGrid(t, tc.grid, inj, &ctr, false)
+			got, err := m.Solve([]Source{centeredSource(100)})
+			if err != nil {
+				t.Fatalf("mg rung did not rescue the solve: %v", err)
+			}
+			if got.Recovery == nil || !got.Recovery.PrecondFallback {
+				t.Fatalf("Recovery = %+v, want PrecondFallback", got.Recovery)
+			}
+			if got.Recovery.Degraded {
+				t.Error("mg rung marked result degraded")
+			}
+			if ctr.CGRetries != 1 || ctr.CGFallbackPrecond != 1 {
+				t.Errorf("counters = %+v, want CGRetries=1 CGFallbackPrecond=1", ctr)
+			}
+			if ctr.MGSetups != tc.wantSetups || ctr.MGCycles == 0 {
+				t.Errorf("mg_setups=%d mg_cycles=%d, want %d setups and some cycles",
+					ctr.MGSetups, ctr.MGCycles, tc.wantSetups)
+			}
+			for i := range want.ChipTempC {
+				if math.Abs(want.ChipTempC[i]-got.ChipTempC[i]) > 1e-4 {
+					t.Fatalf("mg result diverges at cell %d: %v != %v",
+						i, got.ChipTempC[i], want.ChipTempC[i])
+				}
+			}
+		})
 	}
 }
 

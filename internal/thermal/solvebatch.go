@@ -68,41 +68,21 @@ func (m *Model) SolveBatch(ctx context.Context, specs [][]Source) ([]*Result, er
 	}
 
 	opt := sparse.CGOptions{Tol: m.tol, MaxIter: m.maxIter, Inject: m.inject}
-	var iters []int
-	switch m.precond {
-	case precondSSOR:
-		// SolveCGBatch has no SSOR path; sequential per-column solves still
-		// amortize the assembly, which is the batch's main win here.
-		iters = make([]int, nrhs)
-		for c := range specs {
-			it, err := sparse.SolveCGSSOR(ctx, a, xs[c], bs[c], opt)
-			iters[c] = it
-			if err != nil {
-				return nil, fmt.Errorf("thermal: batch column %d: %w", c, err)
-			}
-		}
-	case precondMG:
+	var cycles0 int64
+	if m.precond == precondMG {
 		mg, err := m.ensureMG(a)
 		if err != nil {
 			return nil, fmt.Errorf("thermal: %w", err)
 		}
 		opt.Precond = mg
-		cycles0 := mg.Cycles()
-		iters, err = sparse.SolveCGBatch(ctx, a, xs, bs, opt)
-		if d := mg.Cycles() - cycles0; d > 0 {
-			if m.ctr != nil {
-				m.ctr.MGCycles += d
-			}
-			m.obs.Add("mg_cycles", d)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("thermal: %w", err)
-		}
-	default:
-		iters, err = sparse.SolveCGBatch(ctx, a, xs, bs, opt)
-		if err != nil {
-			return nil, fmt.Errorf("thermal: %w", err)
-		}
+		cycles0 = mg.Cycles()
+	}
+	iters, err := sparse.SolveCGBatch(ctx, a, xs, bs, opt)
+	if opt.Precond != nil {
+		m.addMGCycles(m.mg.Cycles() - cycles0)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("thermal: %w", err)
 	}
 
 	results := make([]*Result, nrhs)

@@ -46,7 +46,7 @@ func batchModel(t *testing.T, grid int, precond string, ctr *metrics.Counters) *
 // would produce — same bits, same iteration count — for every preconditioner
 // the batch dispatches to.
 func TestSolveBatchBitIdenticalToColdSolves(t *testing.T) {
-	for _, pre := range []string{"jacobi", "ssor", "mg"} {
+	for _, pre := range []string{"jacobi", "mg"} {
 		t.Run(pre, func(t *testing.T) {
 			specs := batchSpecs(3)
 			m := batchModel(t, 48, pre, nil)

@@ -53,18 +53,14 @@ type Options struct {
 	// before failing. A converging solve never reaches either cap, so the
 	// change cannot alter any converged temperature field.
 	MaxIter int
-	// Precond selects the CG preconditioner for steady-state solves:
-	//
-	//	"auto"   (or "") — Jacobi below grid 96, geometric multigrid at or
-	//	         above it. The Jacobi choice for the default 64 grid keeps the
-	//	         historical solve path byte for byte.
-	//	"jacobi" — the diagonal preconditioner fused into the CG loop; cheap
-	//	         per iteration, iteration count grows ~linearly with grid.
-	//	"ssor"   — symmetric SOR; ~2× fewer iterations than Jacobi at ~2× the
-	//	         per-iteration cost (the recovery ladder's fallback rung).
-	//	"mg"     — a geometric multigrid V-cycle on the layered grid;
-	//	         near-grid-independent iteration counts, worthwhile once the
-	//	         per-solve arithmetic dominates its setup (large grids).
+	// Precond overrides the grid-selected CG preconditioner for
+	// steady-state solves. The empty default picks by grid: the Jacobi
+	// diagonal fused into the CG loop below grid 96 (the historical path,
+	// byte for byte), a geometric multigrid V-cycle from 96 up, where its
+	// near-grid-independent iteration count pays for the hierarchy.
+	// "jacobi" or "mg" forces one path at any grid; it exists for the
+	// solver-scaling bench and the cross-preconditioner agreement tests,
+	// not as a user-facing option.
 	//
 	// The selection applies to Solve/SolveContext/SolveBatch; the transient
 	// and liquid-cooling solvers keep their historical Jacobi path.
@@ -145,10 +141,11 @@ type Model struct {
 	slotEpoch                            []int32 // last epoch each CSR value slot was refreshed
 	dirtyCells, changedCells, dirtySlots []int32
 
-	// Preconditioner selection (Options.Precond, resolved): one of
-	// precondJacobi, precondSSOR, precondMG. The multigrid hierarchy is built
-	// lazily on the first mg-preconditioned solve and rebuilt only when the
-	// assembled matrix identity changes; valGen counts value-changing
+	// Preconditioner selection (Options.Precond, resolved): precondJacobi
+	// or precondMG. The multigrid hierarchy is built lazily on the first
+	// mg-preconditioned solve (for a Jacobi model, on the first
+	// recovery-ladder escalation) and rebuilt only when the assembled
+	// matrix identity changes; valGen counts value-changing
 	// assemblies and the hierarchy is numerically re-coarsened whenever it
 	// advanced past mgGen, the generation of the last refresh. A refresh
 	// costs only a few V-cycles' worth of work, while preconditioning with a
@@ -175,17 +172,16 @@ type Model struct {
 	inject    *faultinject.Injector
 }
 
-// Preconditioner names (Options.Precond values after "auto" resolution).
+// Preconditioner names (Options.Precond values after grid selection).
 const (
 	precondJacobi = "jacobi"
-	precondSSOR   = "ssor"
 	precondMG     = "mg"
 )
 
-// autoMGGrid is the grid size at which Precond "auto" switches from Jacobi to
-// multigrid. Below it the Jacobi iteration counts are modest and the V-cycle
-// setup is pure overhead; at 96+ the near-constant multigrid iteration count
-// wins. 96 deliberately leaves the paper's default 64 grid on the historical
+// autoMGGrid is the grid size at which the default preconditioner switches
+// from Jacobi to multigrid. Below it the Jacobi iteration counts are modest
+// and the V-cycle setup is pure overhead; at 96+ the near-constant multigrid
+// iteration count wins. 96 deliberately leaves the paper's default 64 grid on the historical
 // Jacobi path, byte for byte.
 const autoMGGrid = 96
 
@@ -248,16 +244,16 @@ func NewModel(widthMM, heightMM float64, opt Options) (*Model, error) {
 		m.maxIter = maxIterPerGrid * grid
 	}
 	switch opt.Precond {
-	case "", "auto":
+	case "":
 		if grid >= autoMGGrid {
 			m.precond = precondMG
 		} else {
 			m.precond = precondJacobi
 		}
-	case precondJacobi, precondSSOR, precondMG:
+	case precondJacobi, precondMG:
 		m.precond = opt.Precond
 	default:
-		return nil, fmt.Errorf("thermal: unknown preconditioner %q (want auto, jacobi, ssor or mg)", opt.Precond)
+		return nil, fmt.Errorf("thermal: unknown preconditioner %q (want jacobi or mg, or empty to select by grid)", opt.Precond)
 	}
 	g2 := grid * grid
 	m.nNodes = (m.nDevLayers + 2) * g2 // +spreader +sink
@@ -570,6 +566,17 @@ func (m *Model) ensureMG(a *sparse.CSR) (*sparse.Multigrid, error) {
 	return m.mg, nil
 }
 
+// addMGCycles records d V-cycles applied by the multigrid hierarchy.
+func (m *Model) addMGCycles(d int64) {
+	if d <= 0 {
+		return
+	}
+	if m.ctr != nil {
+		m.ctr.MGCycles += d
+	}
+	m.obs.Add("mg_cycles", d)
+}
+
 // WarmState returns a copy of the temperature field of the model's last
 // *converged* solve, or nil when no solve has converged yet. Together with
 // RestoreWarmState it lets a checkpointed placement run resume
@@ -614,7 +621,6 @@ func (m *Model) solveAssembled(ctx context.Context, a *sparse.CSR, cg *sparse.CG
 		m.coldGuess()
 	}
 	opt := sparse.CGOptions{Tol: m.tol, MaxIter: m.maxIter, Inject: m.inject}
-	var mgCycles0 int64
 	if m.precond == precondMG {
 		mg, err := m.ensureMG(a)
 		if err != nil {
@@ -622,7 +628,6 @@ func (m *Model) solveAssembled(ctx context.Context, a *sparse.CSR, cg *sparse.CG
 			return nil, fmt.Errorf("thermal: %w", err)
 		}
 		opt.Precond = mg
-		mgCycles0 = mg.Cycles()
 	}
 	iters, err := m.runCG(ctx, a, cg, opt)
 	var rec *RecoveryInfo
@@ -630,12 +635,6 @@ func (m *Model) solveAssembled(ctx context.Context, a *sparse.CSR, cg *sparse.CG
 		rec, iters, err = m.recoverSolve(ctx, a, cg, opt)
 	}
 	if m.precond == precondMG {
-		if d := m.mg.Cycles() - mgCycles0; d > 0 {
-			if m.ctr != nil {
-				m.ctr.MGCycles += d
-			}
-			m.obs.Add("mg_cycles", d)
-		}
 		switch {
 		case err != nil || rec != nil:
 			// A failed or ladder-rescued solve means the hierarchy is not

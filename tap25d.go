@@ -87,8 +87,8 @@ type (
 	// paper's introduction).
 	LiquidCooling = thermal.LiquidCooling
 	// EvalCounters aggregates evaluation statistics of a flow: thermal
-	// solves, CG iterations, full/delta/skipped matrix assemblies, cache
-	// hits, router calls.
+	// solves, CG iterations, full/delta/skipped matrix assemblies, router
+	// calls.
 	EvalCounters = metrics.Counters
 	// RunEvent is one structured progress record of an annealing run
 	// (Options.Progress); it serializes as one JSON object per line.
@@ -257,13 +257,6 @@ type Options struct {
 	// ThermalGrid is the thermal model resolution (default 64, as in the
 	// paper; use 32 for fast exploration).
 	ThermalGrid int
-	// Precond selects the CG preconditioner: "jacobi", "ssor", "mg"
-	// (geometric multigrid), or "auto" (the default) which keeps the
-	// historical Jacobi path up to grid 64 and switches to multigrid at
-	// finer grids, where its near-constant iteration count pays for the
-	// hierarchy. All choices solve to the same tolerance; only speed and
-	// iteration counts differ.
-	Precond string
 	// Steps is the SA step budget per run (default 1000; the paper uses
 	// 4500).
 	Steps int
@@ -290,13 +283,6 @@ type Options struct {
 	// DisableJump and FixedAlpha expose the E9 ablations.
 	DisableJump bool
 	FixedAlpha  float64
-	// EvalCache bounds the placement-keyed evaluation cache wrapped around
-	// each annealing run's evaluator: a positive value sets the entry
-	// capacity, 0 keeps the cache off (the default — a cache hit skips a
-	// thermal solve and therefore shifts the warm-start trajectory, so
-	// cached runs are reproducible at fixed seed but not bit-identical to
-	// uncached ones).
-	EvalCache int
 	// Surrogate enables the two-fidelity evaluator: an analytical thermal
 	// surrogate (internal/surrogate), fitted online against the exact
 	// solves the run performs anyway, prescreens every SA candidate and
@@ -304,9 +290,7 @@ type Options struct {
 	// solve; periodic drift audits keep it honest. Off (the default) is
 	// byte-identical to the single-fidelity flow; on, results remain
 	// deterministic at fixed seed and checkpoint/resume-compatible, but
-	// follow a different (much cheaper) trajectory. Takes precedence over
-	// EvalCache — the two optimizations target the same solves and are not
-	// composed.
+	// follow a different (much cheaper) trajectory.
 	Surrogate bool
 	// SurrogateConfig overrides the surrogate defaults (nil uses them);
 	// ignored unless Surrogate is set.
@@ -354,7 +338,7 @@ type Options struct {
 	// until something actually goes wrong.
 
 	// DisableRecovery turns off the thermal solver's recovery ladder
-	// (cold restart, stronger preconditioner, relaxed tolerance): the
+	// (cold restart, multigrid preconditioner, relaxed tolerance): the
 	// first CG non-convergence fails the solve, as before this option
 	// existed. Useful to make numerical trouble loud in CI.
 	DisableRecovery bool
@@ -375,7 +359,7 @@ func (o Options) thermalOptions(sys *System) thermal.Options {
 		grid = 64
 	}
 	stack := material.DefaultStackFor(sys.InterposerW, sys.InterposerH)
-	return thermal.Options{Grid: grid, Stack: &stack, Precond: o.Precond,
+	return thermal.Options{Grid: grid, Stack: &stack,
 		Obs: o.Observer, DisableRecovery: o.DisableRecovery,
 		Inject: o.FaultInjector}
 }
@@ -526,9 +510,6 @@ func Place(sys *System, opt Options) (*Result, error) {
 				scfg = *opt.SurrogateConfig
 			}
 			return placer.NewSurrogateEvaluator(ev, scfg, opt.Observer), nil
-		}
-		if opt.EvalCache > 0 {
-			return placer.NewCachingEvaluator(ev, opt.EvalCache), nil
 		}
 		return ev, nil
 	}
