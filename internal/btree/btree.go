@@ -27,12 +27,15 @@ type Options struct {
 	// Steps is the number of SA perturbations (default 20000; the paper's
 	// fast-SA converges in a comparable budget on 8-chiplet systems).
 	Steps int
-	// WirelengthWeight and AreaWeight blend the two objectives after
-	// normalization (defaults 0.7 / 0.3: Compact-2.5D primarily minimizes
-	// wirelength with area as tie-breaker, matching Section III-C2).
-	WirelengthWeight float64
-	AreaWeight       float64
 }
+
+// wirelengthWeight and areaWeight blend the two objectives after
+// normalization: Compact-2.5D primarily minimizes wirelength with area as
+// tie-breaker, matching Section III-C2.
+const (
+	wirelengthWeight = 0.7
+	areaWeight       = 0.3
+)
 
 // Result reports the compact placement and its metrics.
 type Result struct {
@@ -336,11 +339,6 @@ func PlaceCompact(sys *chiplet.System, opt Options) (*Result, error) {
 	if steps == 0 {
 		steps = 20000
 	}
-	wlW := opt.WirelengthWeight
-	areaW := opt.AreaWeight
-	if wlW == 0 && areaW == 0 {
-		wlW, areaW = 0.7, 0.3
-	}
 	gap := sys.Gap()
 	w := make([]float64, n)
 	h := make([]float64, n)
@@ -359,7 +357,7 @@ func PlaceCompact(sys *chiplet.System, opt Options) (*Result, error) {
 	eval := func(tr *tree) float64 {
 		xs, ys := tr.pack()
 		bw, bh := bboxDims(tr, xs, ys)
-		cost := wlW*rawWirelength(sys, tr, xs, ys)/wlScale + areaW*bw*bh/areaScale
+		cost := wirelengthWeight*rawWirelength(sys, tr, xs, ys)/wlScale + areaWeight*bw*bh/areaScale
 		// Fixed-outline (interposer) penalty.
 		if over := bw - sys.InterposerW; over > 0 {
 			cost += over * 100

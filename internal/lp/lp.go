@@ -65,12 +65,6 @@ type Problem struct {
 	Integer []bool
 }
 
-// NumVars returns the number of variables.
-func (p *Problem) NumVars() int { return len(p.C) }
-
-// NumConstraints returns the number of constraint rows.
-func (p *Problem) NumConstraints() int { return len(p.A) }
-
 // Validate checks structural consistency.
 func (p *Problem) Validate() error {
 	n := len(p.C)
@@ -385,9 +379,10 @@ func (t *tableau) pivot(leave, enter int) {
 type MILPOptions struct {
 	// MaxNodes caps explored B&B nodes (default 10000).
 	MaxNodes int
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
 }
+
+// intTol is the integrality tolerance of the branch-and-bound search.
+const intTol = 1e-6
 
 // SolveMILP solves p with branch and bound on the variables marked Integer.
 // The relaxations are solved by SolveLP with bound rows appended. When the
@@ -403,10 +398,6 @@ func SolveMILP(p *Problem, opt MILPOptions) (*Solution, error) {
 	maxNodes := opt.MaxNodes
 	if maxNodes <= 0 {
 		maxNodes = 10000
-	}
-	intTol := opt.IntTol
-	if intTol <= 0 {
-		intTol = 1e-6
 	}
 
 	type bound struct {

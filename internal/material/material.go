@@ -105,9 +105,13 @@ func DefaultStack() Stack {
 		ConvectionResistance: 0.031,
 		SinkFinFactor:        1,
 		BoardConductance:     2.0,
-		AmbientC:             45,
+		AmbientC:             AmbientC,
 	}
 }
+
+// AmbientC is the paper's ambient temperature in Celsius (45 C): the stack's
+// boundary temperature and the ambient constant of the placer's Eqn. (13).
+const AmbientC = 45.0
 
 // ConvectionHTC is the forced-air heat transfer coefficient (W/(m²·K))
 // assumed for the heatsink. The paper keeps this coefficient consistent

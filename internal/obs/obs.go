@@ -152,14 +152,6 @@ func (o *Observer) PhaseHistogram(p Phase) *Histogram {
 	return &o.phases[p]
 }
 
-// CGIterationsHistogram exposes the iterations-to-converge histogram.
-func (o *Observer) CGIterationsHistogram() *Histogram {
-	if o == nil {
-		return nil
-	}
-	return &o.cgIters
-}
-
 // ObservePhase records one completed duration directly into a phase
 // histogram, for callers that time a region without wanting a Span record.
 func (o *Observer) ObservePhase(p Phase, d time.Duration) {

@@ -66,16 +66,6 @@ type Config struct {
 	// LinkLatencyCycles is the one-way inter-chiplet link latency in cycles
 	// (the paper studies 1, 2 and 3).
 	LinkLatencyCycles int
-	// FixedRemoteCycles is the placement-independent part of a remote access
-	// (cache controller, router, protocol), default 12.
-	FixedRemoteCycles int
-	// TraversalsPerAccess counts link crossings per access (request + reply,
-	// default 2).
-	TraversalsPerAccess int
-	// FlitsPerMessage is the serialization factor per traversal (default 2).
-	FlitsPerMessage int
-	// Instructions is the trace length (default 200000).
-	Instructions int
 	// Seed drives trace jitter; the same seed reproduces the same trace.
 	Seed int64
 }
@@ -84,20 +74,19 @@ func (c Config) withDefaults() Config {
 	if c.LinkLatencyCycles == 0 {
 		c.LinkLatencyCycles = 1
 	}
-	if c.FixedRemoteCycles == 0 {
-		c.FixedRemoteCycles = 12
-	}
-	if c.TraversalsPerAccess == 0 {
-		c.TraversalsPerAccess = 2
-	}
-	if c.FlitsPerMessage == 0 {
-		c.FlitsPerMessage = 2
-	}
-	if c.Instructions == 0 {
-		c.Instructions = 200000
-	}
 	return c
 }
+
+// Trace model constants. A remote access costs fixedRemoteCycles (cache
+// controller, router, protocol; independent of placement) plus
+// traversalsPerAccess link crossings (request + reply) of flitsPerMessage
+// serialized flits each. Every trace runs traceInstructions instructions.
+const (
+	fixedRemoteCycles   = 12
+	traversalsPerAccess = 2
+	flitsPerMessage     = 2
+	traceInstructions   = 200000
+)
 
 // newTraceRNG derives the deterministic per-trace random stream: the same
 // workload, seed and latency configuration always replay the same trace.
@@ -126,8 +115,8 @@ func Simulate(w Workload, cfg Config) (*Result, error) {
 	rng := newTraceRNG(w, cfg)
 
 	// Per-access latency in cycles.
-	accessLat := float64(cfg.FixedRemoteCycles +
-		cfg.TraversalsPerAccess*cfg.FlitsPerMessage*cfg.LinkLatencyCycles)
+	accessLat := float64(fixedRemoteCycles +
+		traversalsPerAccess*flitsPerMessage*cfg.LinkLatencyCycles)
 
 	// Outstanding remote accesses: completion times, bounded by MLP.
 	outstanding := make([]float64, 0, w.MLP)
@@ -136,7 +125,7 @@ func Simulate(w Workload, cfg Config) (*Result, error) {
 	// Deterministic access schedule with jitter: an access every
 	// 1/RemoteRate instructions on average.
 	acc := 0.0
-	for i := 0; i < cfg.Instructions; i++ {
+	for i := 0; i < traceInstructions; i++ {
 		cycle += w.ComputeCPI
 		acc += w.RemoteRate
 		if acc < 1 {
@@ -187,8 +176,8 @@ func Simulate(w Workload, cfg Config) (*Result, error) {
 	}
 	return &Result{
 		Cycles:         cycle,
-		Instructions:   cfg.Instructions,
-		CPI:            cycle / float64(cfg.Instructions),
+		Instructions:   traceInstructions,
+		CPI:            cycle / traceInstructions,
 		RemoteAccesses: remote,
 	}, nil
 }

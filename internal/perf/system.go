@@ -63,7 +63,7 @@ func SimulateMixed(w Workload, cfg Config, hist map[int]int) (*Result, error) {
 	cycle := 0.0
 	remote := 0
 	accIssue := 0.0
-	for i := 0; i < cfg.Instructions; i++ {
+	for i := 0; i < traceInstructions; i++ {
 		cycle += w.ComputeCPI
 		accIssue += w.RemoteRate
 		if accIssue < 1 {
@@ -72,8 +72,8 @@ func SimulateMixed(w Workload, cfg Config, hist map[int]int) (*Result, error) {
 		accIssue -= 1
 		remote++
 		linkCycles := nextClass()
-		accessLat := float64(cfg.FixedRemoteCycles +
-			cfg.TraversalsPerAccess*cfg.FlitsPerMessage*linkCycles)
+		accessLat := float64(fixedRemoteCycles +
+			traversalsPerAccess*flitsPerMessage*linkCycles)
 
 		live := outstanding[:0]
 		for _, c := range outstanding {
@@ -114,8 +114,8 @@ func SimulateMixed(w Workload, cfg Config, hist map[int]int) (*Result, error) {
 	}
 	return &Result{
 		Cycles:         cycle,
-		Instructions:   cfg.Instructions,
-		CPI:            cycle / float64(cfg.Instructions),
+		Instructions:   traceInstructions,
+		CPI:            cycle / traceInstructions,
 		RemoteAccesses: remote,
 	}, nil
 }

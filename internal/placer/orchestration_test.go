@@ -118,6 +118,89 @@ func TestCheckpointKillResumeBitCompatible(t *testing.T) {
 	assertSameOutcome(t, baseline, resumed)
 }
 
+// legacyOptionKeys are the options keys that checkpoints carried while the
+// annealing schedule, the Eqn. (13) ambient, the OCM pitch and the operator
+// mix were settable, each at the only value any run ever used.
+const legacyOptionKeys = `{"KStart":1,"KEnd":0.01,"KDecay":0.95,"AmbientC":45,"GridPitch":1,` +
+	`"MoveWeight":0.5,"RotateWeight":0.25,"JumpWeight":0.25}`
+
+// TestLegacyCheckpointOptionsResume: a sealed checkpoint whose options still
+// carry the legacy keys decodes and resumes bit-identically to an
+// uninterrupted run at the same seed.
+func TestLegacyCheckpointOptionsResume(t *testing.T) {
+	sys := placerSystem()
+	opt := Options{Steps: 400, Seed: 11}
+	baseline, err := Place(sys, &fakeEval{sys: sys, tempBase: 120, tempSlope: 2}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var cp *Checkpoint
+	ctx, progress := interruptAfter(150)
+	iopt := opt
+	iopt.Progress = progress
+	iopt.ProgressEvery = 1
+	iopt.Checkpoint = func(c *Checkpoint) error { cp = c; return nil }
+	if _, err := PlaceContext(ctx, sys, &fakeEval{sys: sys, tempBase: 120, tempSlope: 2}, iopt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run error = %v, want context.Canceled", err)
+	}
+	if cp == nil {
+		t.Fatal("no checkpoint written on interrupt")
+	}
+
+	// Splice the legacy keys into the snapshot's options object and seal the
+	// payload the way SaveCheckpointFile does.
+	raw, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc, options map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc["options"], &options); err != nil {
+		t.Fatal(err)
+	}
+	var legacy map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(legacyOptionKeys), &legacy); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range legacy {
+		if _, ok := options[k]; ok {
+			t.Fatalf("options still serialize %q", k)
+		}
+		options[k] = v
+	}
+	if doc["options"], err = json.Marshal(options); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crc, err := checkpointCRC(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := json.Marshal(checkpointEnvelope{Format: checkpointFormat, CRC32C: crc, Checkpoint: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	old, err := DecodeCheckpoint(bytes.NewReader(sealed))
+	if err != nil {
+		t.Fatalf("legacy checkpoint rejected: %v", err)
+	}
+	if err := old.Validate(sys); err != nil {
+		t.Fatalf("legacy checkpoint invalid: %v", err)
+	}
+	resumed, err := Resume(context.Background(), sys, &fakeEval{sys: sys, tempBase: 120, tempSlope: 2}, old, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameOutcome(t, baseline, resumed)
+}
+
 // cancelingEval cancels a context from inside an evaluation call — the
 // deterministic stand-in for a SIGINT landing mid-thermal-solve rather than
 // between steps.

@@ -25,6 +25,7 @@ import (
 	"tap25d/internal/btree"
 	"tap25d/internal/chiplet"
 	"tap25d/internal/geom"
+	"tap25d/internal/material"
 	"tap25d/internal/metrics"
 	"tap25d/internal/obs"
 	"tap25d/internal/ocm"
@@ -189,6 +190,22 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", int(o))
 }
 
+// The annealing temperature schedule of Section III-C5: K decays from kStart
+// to kEnd by a factor kDecay per level.
+const (
+	kStart = 1.0
+	kEnd   = 0.01
+	kDecay = 0.95
+)
+
+// The neighbor operator mix (the paper does not publish its mix).
+// Options.DisableJump zeroes jumpWeight.
+const (
+	moveWeight   = 0.5
+	rotateWeight = 0.25
+	jumpWeight   = 0.25
+)
+
 // Options configures the annealer. The zero value reproduces the paper's
 // settings except Steps, which defaults to 1000 for tractability; the paper
 // calibrates 4500 steps to fill a 25-hour budget with HotSpot+CPLEX in the
@@ -196,15 +213,10 @@ func (o Op) String() string {
 type Options struct {
 	// Steps is the number of SA steps per run (default 1000).
 	Steps int
-	// KStart, KEnd, KDecay define the annealing temperature schedule
-	// (defaults 1, 0.01, 0.95 per Section III-C5).
-	KStart, KEnd, KDecay float64
 	// Seed makes runs reproducible. Run r of a multi-run uses Seed+r.
 	Seed int64
 	// CriticalC is the temperature threshold of Eqn. (13) (default 85).
 	CriticalC float64
-	// AmbientC is the ambient constant in Eqn. (13) (default 45).
-	AmbientC float64
 	// Initial overrides the starting placement. nil runs the Compact-2.5D
 	// baseline (B*-tree + fast-SA) and legalizes it onto the OCM grid,
 	// exactly as Section III-C2 prescribes.
@@ -212,11 +224,6 @@ type Options struct {
 	// CompactSteps is the step budget for the initial Compact-2.5D run
 	// (default 20000).
 	CompactSteps int
-	// GridPitch is the OCM pitch in mm (default 1).
-	GridPitch float64
-	// MoveWeight, RotateWeight and JumpWeight set the operator mix
-	// (defaults 0.5/0.25/0.25; the paper does not publish its mix).
-	MoveWeight, RotateWeight, JumpWeight float64
 	// DisableJump removes the jump operator (used by the E9 ablation to
 	// demonstrate the 'sliding tile puzzle' issue of Section III-C3).
 	DisableJump bool
@@ -273,32 +280,11 @@ func (o Options) withDefaults() Options {
 	if o.Steps == 0 {
 		o.Steps = 1000
 	}
-	if o.KStart == 0 {
-		o.KStart = 1
-	}
-	if o.KEnd == 0 {
-		o.KEnd = 0.01
-	}
-	if o.KDecay == 0 {
-		o.KDecay = 0.95
-	}
 	if o.CriticalC == 0 {
 		o.CriticalC = 85
 	}
-	if o.AmbientC == 0 {
-		o.AmbientC = 45
-	}
 	if o.CompactSteps == 0 {
 		o.CompactSteps = 20000
-	}
-	if o.GridPitch == 0 {
-		o.GridPitch = ocm.DefaultPitchMM
-	}
-	if o.MoveWeight == 0 && o.RotateWeight == 0 && o.JumpWeight == 0 {
-		o.MoveWeight, o.RotateWeight, o.JumpWeight = 0.5, 0.25, 0.25
-	}
-	if o.DisableJump {
-		o.JumpWeight = 0
 	}
 	if o.FixedAlpha == 0 {
 		o.FixedAlpha = -1
@@ -412,7 +398,7 @@ func betterCost(aTemp, aWL, bTemp, bWL float64, bounds *normBounds, opt Options)
 	default:
 		alpha := opt.FixedAlpha
 		if alpha < 0 {
-			alpha = Alpha(math.Max(aTemp, bTemp), opt.AmbientC, opt.CriticalC)
+			alpha = Alpha(math.Max(aTemp, bTemp), material.AmbientC, opt.CriticalC)
 		}
 		return bounds.cost(aTemp, aWL, alpha) < bounds.cost(bTemp, bWL, alpha)
 	}
@@ -548,7 +534,7 @@ func PlaceContext(ctx context.Context, sys *chiplet.System, ev Evaluator, opt Op
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	grid, err := ocm.NewGrid(sys, opt.GridPitch)
+	grid, err := ocm.NewGrid(sys, ocm.DefaultPitchMM)
 	if err != nil {
 		return nil, err
 	}
@@ -593,7 +579,7 @@ func PlaceContext(ctx context.Context, sys *chiplet.System, ev Evaluator, opt Op
 		cur:    init.Clone(),
 		curT:   t0, curW: w0,
 		bestT: t0, bestW: w0,
-		k: opt.KStart,
+		k: kStart,
 	}
 	st.drawsAtTop, st.kAtTop = st.src.draws, st.k
 	st.bounds.observe(t0, w0)
@@ -624,7 +610,7 @@ func Resume(ctx context.Context, sys *chiplet.System, ev Evaluator, cp *Checkpoi
 	opt.Obs = live.Obs
 	opt.RunIndex = cp.Run
 
-	grid, err := ocm.NewGrid(sys, opt.GridPitch)
+	grid, err := ocm.NewGrid(sys, ocm.DefaultPitchMM)
 	if err != nil {
 		return nil, err
 	}
@@ -692,9 +678,9 @@ func (st *saState) anneal(ctx context.Context) (*Result, error) {
 	opt.Obs.SetRunState(opt.RunIndex, "running")
 	pre, _ := st.ev.(prescreener)
 
-	// Annealing schedule: K decays by KDecay once per level; levels are
+	// Annealing schedule: K decays by kDecay once per level; levels are
 	// spread evenly over the step budget.
-	levels := int(math.Ceil(math.Log(opt.KEnd/opt.KStart) / math.Log(opt.KDecay)))
+	levels := int(math.Ceil(math.Log(kEnd/kStart) / math.Log(kDecay)))
 	if levels < 1 {
 		levels = 1
 	}
@@ -714,10 +700,10 @@ func (st *saState) anneal(ctx context.Context) (*Result, error) {
 			return st.interrupt(ctx, err)
 		}
 		step := st.step
-		if step > 0 && step%stepsPerLevel == 0 && st.k > opt.KEnd {
-			st.k *= opt.KDecay
-			if st.k < opt.KEnd {
-				st.k = opt.KEnd
+		if step > 0 && step%stepsPerLevel == 0 && st.k > kEnd {
+			st.k *= kDecay
+			if st.k < kEnd {
+				st.k = kEnd
 			}
 		}
 		sp := opt.Obs.StartSpanCtx(ctx, obs.PhaseSAStep, "")
@@ -742,7 +728,7 @@ func (st *saState) anneal(ctx context.Context) (*Result, error) {
 			if ready {
 				alpha = opt.FixedAlpha
 				if alpha < 0 {
-					alpha = Alpha(math.Max(st.curT, predT), opt.AmbientC, opt.CriticalC)
+					alpha = Alpha(math.Max(st.curT, predT), material.AmbientC, opt.CriticalC)
 				}
 				curCost := st.bounds.cost(st.curT, st.curW, alpha)
 				predCost := st.bounds.cost(predT, predW, alpha)
@@ -752,16 +738,16 @@ func (st *saState) anneal(ctx context.Context) (*Result, error) {
 				// while predicted-improving and within-margin moves always
 				// fall through to the exact solver, which alone decides
 				// acceptance. The sharpening ramps with annealing progress —
-				// near K=KStart the prescreen mirrors the exact Metropolis
+				// near K=kStart the prescreen mirrors the exact Metropolis
 				// test and defers to the high-temperature exploration the
-				// schedule intends; as K cools toward KEnd it approaches the
+				// schedule intends; as K cools toward kEnd it approaches the
 				// configured decisiveness, declining the ever-larger fraction
 				// of proposals the converging anneal would reject anyway.
 				// Predicted values never feed the normalization window.
 				margin, sharpen := pre.PrescreenPolicy()
 				// Progress is linear in the schedule's level index (K decays
-				// geometrically), 0 at KStart and 1 at KEnd.
-				progress := math.Log(opt.KStart/st.k) / math.Log(opt.KStart/opt.KEnd)
+				// geometrically), 0 at kStart and 1 at kEnd.
+				progress := math.Log(kStart/st.k) / math.Log(kStart/kEnd)
 				eff := 1 + (sharpen-1)*progress
 				ap := math.Exp((curCost - predCost + margin) * eff / st.k)
 				if ap < 1 && st.rng.Float64() >= ap {
@@ -795,7 +781,7 @@ func (st *saState) anneal(ctx context.Context) (*Result, error) {
 
 			alpha = opt.FixedAlpha
 			if alpha < 0 {
-				alpha = Alpha(math.Max(st.curT, nbT), opt.AmbientC, opt.CriticalC)
+				alpha = Alpha(math.Max(st.curT, nbT), material.AmbientC, opt.CriticalC)
 			}
 			curCost := st.bounds.cost(st.curT, st.curW, alpha)
 			nbCost = st.bounds.cost(nbT, nbW, alpha)
@@ -1018,15 +1004,19 @@ func (st *saState) checkpoint(ctx context.Context, nextStep int, draws uint64, k
 // neighbor perturbs cur with one of the paper's operators, returning a valid
 // placement. It retries across operators and chiplets before giving up.
 func neighbor(sys *chiplet.System, grid *ocm.Grid, cur chiplet.Placement, rng *rand.Rand, opt Options) (chiplet.Placement, Op, bool) {
-	total := opt.MoveWeight + opt.RotateWeight + opt.JumpWeight
+	jumpW := jumpWeight
+	if opt.DisableJump {
+		jumpW = 0
+	}
+	total := moveWeight + rotateWeight + jumpW
 	const attempts = 64
 	for a := 0; a < attempts; a++ {
 		r := rng.Float64() * total
 		var op Op
 		switch {
-		case r < opt.MoveWeight:
+		case r < moveWeight:
 			op = OpMove
-		case r < opt.MoveWeight+opt.RotateWeight:
+		case r < moveWeight+rotateWeight:
 			op = OpRotate
 		default:
 			op = OpJump

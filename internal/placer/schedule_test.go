@@ -60,12 +60,11 @@ func TestAnnealingSchedule(t *testing.T) {
 }
 
 // TestOperatorMixRoughlyMatchesWeights: over many steps, the recorded
-// operators follow the configured mix.
+// operators follow the 0.5/0.25/0.25 move/rotate/jump mix.
 func TestOperatorMixRoughlyMatchesWeights(t *testing.T) {
 	sys := placerSystem()
 	res, err := Place(sys, &fakeEval{sys: sys, tempBase: 60, tempSlope: 0},
-		Options{Steps: 1200, Seed: 10, History: true,
-			MoveWeight: 0.6, RotateWeight: 0.2, JumpWeight: 0.2})
+		Options{Steps: 1200, Seed: 10, History: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,8 @@ import (
 // errors.Is-matchable and carry the binding clump capacities.
 func TestFastInfeasibleTyped(t *testing.T) {
 	sys, p := lineSystem() // 100-wire channel
-	_, err := Route(sys, p, Options{PinCapacity: []int{10, 10}})
+	sys.PinsPerClumpLimit = 10
+	_, err := Route(sys, p, Options{})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -41,7 +42,8 @@ func TestFastInfeasibleTyped(t *testing.T) {
 // same sentinel, attributed to no single net.
 func TestMILPInfeasibleTyped(t *testing.T) {
 	sys, p := lineSystem()
-	_, err := Route(sys, p, Options{Method: MethodMILP, PinCapacity: []int{10, 10}})
+	sys.PinsPerClumpLimit = 10
+	_, err := Route(sys, p, Options{Method: MethodMILP})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -64,7 +66,8 @@ func TestFeasibleRouteNotInfeasible(t *testing.T) {
 	if _, err := Route(sys, p, Options{}); err != nil {
 		t.Fatalf("feasible instance failed: %v", err)
 	}
-	_, err := Route(sys, p, Options{PinCapacity: []int{10}}) // bad length
+	p.Centers[1] = p.Centers[0] // overlap
+	_, err := Route(sys, p, Options{})
 	if err == nil || errors.Is(err, ErrInfeasible) {
 		t.Errorf("validation error %v must not match ErrInfeasible", err)
 	}

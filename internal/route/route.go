@@ -91,9 +91,6 @@ type Options struct {
 	GasStation bool
 	// Method selects the algorithm (default MethodFast).
 	Method Method
-	// PinCapacity gives P_il^max per chiplet (same for each of its 4
-	// clumps). nil means DerivedPinCapacity(sys).
-	PinCapacity []int
 	// MILP bounds the branch-and-bound search when Method == MethodMILP.
 	MILP lp.MILPOptions
 	// Obs, when non-nil, records each routing call as a route_solve span
@@ -165,13 +162,7 @@ func routeDispatch(sys *chiplet.System, p chiplet.Placement, opt Options) (*Resu
 	if err := sys.CheckPlacement(p); err != nil {
 		return nil, fmt.Errorf("route: %w", err)
 	}
-	caps := opt.PinCapacity
-	if caps == nil {
-		caps = DerivedPinCapacity(sys)
-	}
-	if len(caps) != len(sys.Chiplets) {
-		return nil, fmt.Errorf("route: PinCapacity has %d entries for %d chiplets", len(caps), len(sys.Chiplets))
-	}
+	caps := DerivedPinCapacity(sys)
 	// Clump positions and distance lookup.
 	pts := clumpPoints(sys, p)
 	switch opt.Method {

@@ -146,16 +146,10 @@ func TestRouteRejectsInvalidPlacement(t *testing.T) {
 
 func TestRouteInsufficientCapacity(t *testing.T) {
 	sys, p := lineSystem()
-	_, err := Route(sys, p, Options{PinCapacity: []int{10, 10}})
+	sys.PinsPerClumpLimit = 10
+	_, err := Route(sys, p, Options{})
 	if err == nil || !strings.Contains(err.Error(), "capacity") {
 		t.Errorf("err = %v, want capacity error", err)
-	}
-}
-
-func TestRouteBadCapacityLength(t *testing.T) {
-	sys, p := lineSystem()
-	if _, err := Route(sys, p, Options{PinCapacity: []int{10}}); err == nil {
-		t.Error("mismatched capacity slice accepted")
 	}
 }
 

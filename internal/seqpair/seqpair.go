@@ -150,11 +150,14 @@ type Options struct {
 	Seed int64
 	// Steps is the SA perturbation budget (default 20000).
 	Steps int
-	// WirelengthWeight and AreaWeight blend the objectives
-	// (defaults 0.7/0.3, matching the B*-tree baseline).
-	WirelengthWeight float64
-	AreaWeight       float64
 }
+
+// wirelengthWeight and areaWeight blend the objectives after normalization,
+// matching the B*-tree baseline.
+const (
+	wirelengthWeight = 0.7
+	areaWeight       = 0.3
+)
 
 // Result reports the packed placement and metrics.
 type Result struct {
@@ -177,10 +180,6 @@ func PlaceCompact(sys *chiplet.System, opt Options) (*Result, error) {
 	if steps == 0 {
 		steps = 20000
 	}
-	wlW, areaW := opt.WirelengthWeight, opt.AreaWeight
-	if wlW == 0 && areaW == 0 {
-		wlW, areaW = 0.7, 0.3
-	}
 	gap := sys.Gap()
 	w := make([]float64, n)
 	h := make([]float64, n)
@@ -199,7 +198,7 @@ func PlaceCompact(sys *chiplet.System, opt Options) (*Result, error) {
 	eval := func(pr *pair) float64 {
 		xs, ys := pr.pack()
 		bw, bh := bbox(pr, xs, ys)
-		cost := wlW*wirelength(sys, pr, xs, ys)/wlScale + areaW*bw*bh/areaScale
+		cost := wirelengthWeight*wirelength(sys, pr, xs, ys)/wlScale + areaWeight*bw*bh/areaScale
 		if over := bw - sys.InterposerW; over > 0 {
 			cost += over * 100
 		}

@@ -32,8 +32,6 @@ type WorkerConfig struct {
 	// reclaimed. Smaller recovers crashed jobs faster; larger tolerates
 	// longer worker stalls.
 	LeaseTTL time.Duration
-	// Heartbeat is the lease renewal cadence (default LeaseTTL/3).
-	Heartbeat time.Duration
 	// Poll is the queue-directory rescan cadence for discovering jobs
 	// submitted by other processes (default 500ms). Local submissions wake
 	// workers immediately regardless.
@@ -77,13 +75,6 @@ func (c WorkerConfig) leaseTTL() time.Duration {
 		return c.LeaseTTL
 	}
 	return 10 * time.Second
-}
-
-func (c WorkerConfig) heartbeat() time.Duration {
-	if c.Heartbeat > 0 {
-		return c.Heartbeat
-	}
-	return c.leaseTTL() / 3
 }
 
 func (c WorkerConfig) poll() time.Duration {
@@ -379,7 +370,7 @@ func (w *Worker) runLeased(ctx context.Context, job *Job, l *lease) {
 		"job_id", job.ID, "tenant", job.Spec.tenant(), "trace", job.TraceID,
 		"worker", w.cfg.id(), "epoch", job.Epoch, "attempt", job.Attempts)
 
-	// Heartbeat: renew the lease at a cadence comfortably inside the TTL,
+	// Lease renewal: renew every LeaseTTL/3, comfortably inside the TTL,
 	// and surface cross-process cancellation (the durable marker) into the
 	// job context. A renewal that reports the lease lost cuts the context —
 	// the placer checkpoints and unwinds, and finalize skips all writes.
@@ -388,7 +379,7 @@ func (w *Worker) runLeased(ctx context.Context, job *Job, l *lease) {
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
-		t := time.NewTicker(w.cfg.heartbeat())
+		t := time.NewTicker(w.cfg.leaseTTL() / 3)
 		defer t.Stop()
 		for {
 			select {

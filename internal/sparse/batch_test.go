@@ -103,7 +103,7 @@ func TestSolveCGBatchBitIdenticalToSerial(t *testing.T) {
 
 func buildMG(t *testing.T, a *CSR, g, l int) Preconditioner {
 	t.Helper()
-	mg, err := NewMultigrid(a, GridGeometry{Layers: l, Nx: g, Ny: g}, MGOptions{})
+	mg, err := NewMultigrid(a, GridGeometry{Layers: l, Nx: g, Ny: g})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,30 +59,16 @@ type GridGeometry struct {
 // Nodes returns the node count of the grid.
 func (g GridGeometry) Nodes() int { return g.Layers * g.Nx * g.Ny }
 
-// MGOptions tunes the multigrid hierarchy. The zero value selects defaults
-// suitable for the thermal conductance systems.
-type MGOptions struct {
-	// CoarsestMaxDense is the largest coarsest-level size that is factored
-	// densely (default 1024 nodes); larger coarsest systems — which only
-	// arise when odd grid dimensions stop the coarsening early — are solved
-	// approximately by GSSweeps symmetric Gauss-Seidel sweeps instead.
-	CoarsestMaxDense int
-	// GSSweeps is the symmetric Gauss-Seidel sweep count of the non-dense
-	// coarsest fallback (default 4). A fixed sweep count from a zero guess is
-	// a fixed symmetric linear operator, so the fallback preserves the
-	// SPD property PCG needs.
-	GSSweeps int
-}
-
-func (o MGOptions) withDefaults() MGOptions {
-	if o.CoarsestMaxDense <= 0 {
-		o.CoarsestMaxDense = 1024
-	}
-	if o.GSSweeps <= 0 {
-		o.GSSweeps = 4
-	}
-	return o
-}
+// coarsestMaxDense is the largest coarsest-level size that is factored
+// densely; larger coarsest systems — which only arise when odd grid
+// dimensions stop the coarsening early — are solved approximately by
+// coarsestGSSweeps symmetric Gauss-Seidel sweeps instead. A fixed sweep count
+// from a zero guess is a fixed symmetric linear operator, so the fallback
+// preserves the SPD property PCG needs.
+const (
+	coarsestMaxDense = 1024
+	coarsestGSSweeps = 4
+)
 
 // mgLevel is the immutable, shareable symbolic description of one hierarchy
 // level: its dimensions, its operator sparsity pattern (levels ≥ 1; level 0
@@ -359,10 +345,8 @@ type mgLevelData struct {
 // scratch), but its symbolic skeleton is shared process-wide across
 // instances with the same geometry and sparsity pattern.
 type Multigrid struct {
-	s        *mgStructure
-	a        *CSR
-	gsSweeps int
-	maxDense int
+	s *mgStructure
+	a *CSR
 
 	lv   []mgLevelData
 	chol []float64 // dense Cholesky factor of the coarsest level, nil → GS fallback
@@ -377,23 +361,20 @@ type Multigrid struct {
 // process-wide cache when an identical (geometry, pattern) pair was built
 // before; the numeric state is initialized from a's current values (an
 // initial Refresh is included).
-func NewMultigrid(a *CSR, geo GridGeometry, opt MGOptions) (*Multigrid, error) {
+func NewMultigrid(a *CSR, geo GridGeometry) (*Multigrid, error) {
 	if geo.Layers <= 0 || geo.Nx <= 0 || geo.Ny <= 0 {
 		return nil, fmt.Errorf("sparse: multigrid geometry %+v not positive", geo)
 	}
 	if geo.Nodes() != a.N {
 		return nil, fmt.Errorf("sparse: multigrid geometry %+v has %d nodes, matrix has %d rows", geo, geo.Nodes(), a.N)
 	}
-	opt = opt.withDefaults()
 	s := mgStructureFor(a, geo)
 	mg := &Multigrid{
-		s:        s,
-		a:        a,
-		gsSweeps: opt.GSSweeps,
-		maxDense: opt.CoarsestMaxDense,
-		lv:       make([]mgLevelData, len(s.levels)),
-		ws:       make([]float64, s.maxCoarseN),
-		line:     make([]float64, geo.Layers),
+		s:    s,
+		a:    a,
+		lv:   make([]mgLevelData, len(s.levels)),
+		ws:   make([]float64, s.maxCoarseN),
+		line: make([]float64, geo.Layers),
 	}
 	for l, lev := range s.levels {
 		d := &mg.lv[l]
@@ -483,7 +464,7 @@ func (mg *Multigrid) Refresh() error {
 		}
 	}
 	last := &mg.lv[len(mg.lv)-1]
-	if last.a.N <= mg.maxDense {
+	if last.a.N <= coarsestMaxDense {
 		chol, err := denseCholesky(last.a)
 		if err != nil {
 			return fmt.Errorf("sparse: multigrid coarsest level: %w", err)
@@ -643,7 +624,7 @@ func (mg *Multigrid) coarseGS(d *mgLevelData, z, r []float64) {
 	for i := range z {
 		z[i] = 0
 	}
-	for s := 0; s < mg.gsSweeps; s++ {
+	for s := 0; s < coarsestGSSweeps; s++ {
 		for i := 0; i < n; i++ {
 			acc := r[i]
 			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {

@@ -12,17 +12,17 @@ func stackGeo(g, l int) GridGeometry { return GridGeometry{Layers: l, Nx: g, Ny:
 
 func TestMultigridGeometryValidation(t *testing.T) {
 	a := grid3D(8, 2)
-	if _, err := NewMultigrid(a, GridGeometry{Layers: 3, Nx: 8, Ny: 8}, MGOptions{}); err == nil {
+	if _, err := NewMultigrid(a, GridGeometry{Layers: 3, Nx: 8, Ny: 8}); err == nil {
 		t.Fatal("mismatched geometry accepted")
 	}
-	if _, err := NewMultigrid(a, GridGeometry{}, MGOptions{}); err == nil {
+	if _, err := NewMultigrid(a, GridGeometry{}); err == nil {
 		t.Fatal("zero geometry accepted")
 	}
 }
 
 func TestMultigridLevels(t *testing.T) {
 	// 64 → 32 → 16 → 8 → 4: five levels; coarsest has 4·4·2 = 32 nodes.
-	mg, err := NewMultigrid(grid3D(64, 2), stackGeo(64, 2), MGOptions{})
+	mg, err := NewMultigrid(grid3D(64, 2), stackGeo(64, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestMultigridLevels(t *testing.T) {
 		t.Fatalf("Levels() = %d, want 5", got)
 	}
 	// A 6×6 plane cannot coarsen at all (below the 8-cell floor).
-	mg, err = NewMultigrid(grid3D(6, 2), stackGeo(6, 2), MGOptions{})
+	mg, err = NewMultigrid(grid3D(6, 2), stackGeo(6, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestMultigridLevels(t *testing.T) {
 // coarse level.
 func TestMultigridGalerkinConsistency(t *testing.T) {
 	a := grid3D(16, 3)
-	mg, err := NewMultigrid(a, stackGeo(16, 3), MGOptions{})
+	mg, err := NewMultigrid(a, stackGeo(16, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,16 +88,22 @@ func TestMultigridGalerkinConsistency(t *testing.T) {
 func TestMultigridApplySPD(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		opt  MGOptions
+		grid int
+		gs   bool
 	}{
-		{"cholesky-coarsest", MGOptions{}},
-		{"gs-fallback-coarsest", MGOptions{CoarsestMaxDense: 1}},
+		{"cholesky-coarsest", 16, false},
+		// A 17×17 plane cannot coarsen, and its 17·17·4 = 1156 nodes exceed
+		// coarsestMaxDense, so the coarsest solve falls back to GS sweeps.
+		{"gs-fallback-coarsest", 17, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a := grid3D(16, 4)
-			mg, err := NewMultigrid(a, stackGeo(16, 4), tc.opt)
+			a := grid3D(tc.grid, 4)
+			mg, err := NewMultigrid(a, stackGeo(tc.grid, 4))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if gs := mg.chol == nil; gs != tc.gs {
+				t.Fatalf("GS coarsest fallback = %v, want %v", gs, tc.gs)
 			}
 			rng := rand.New(rand.NewSource(7))
 			u := make([]float64, a.N)
@@ -128,6 +134,36 @@ func TestMultigridApplySPD(t *testing.T) {
 	}
 }
 
+// TestMultigridRefreshUnchangedBitIdentical: Refresh is a deterministic
+// function of the bound matrix's values, so re-coarsening an unchanged
+// matrix reproduces the hierarchy — and the V-cycle — bit for bit.
+func TestMultigridRefreshUnchangedBitIdentical(t *testing.T) {
+	for _, g := range []int{16, 17} {
+		a := grid3D(g, 4)
+		rng := rand.New(rand.NewSource(5))
+		mg, err := NewMultigrid(a, stackGeo(g, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := make([]float64, a.N)
+		for i := range r {
+			r[i] = rng.NormFloat64()
+		}
+		before := make([]float64, a.N)
+		mg.Apply(before, r)
+		if err := mg.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		after := make([]float64, a.N)
+		mg.Apply(after, r)
+		for i := range before {
+			if math.Float64bits(before[i]) != math.Float64bits(after[i]) {
+				t.Fatalf("grid %d: Apply after Refresh differs at %d: %v != %v", g, i, after[i], before[i])
+			}
+		}
+	}
+}
+
 func TestMultigridCGAgreesWithJacobi(t *testing.T) {
 	a := grid3D(32, 4)
 	geo := stackGeo(32, 4)
@@ -141,7 +177,7 @@ func TestMultigridCGAgreesWithJacobi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg, err := NewMultigrid(a, geo, MGOptions{})
+	mg, err := NewMultigrid(a, geo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +212,7 @@ func TestMultigridIterationScaling(t *testing.T) {
 	iters := map[int]int{}
 	for _, g := range []int{16, 64} {
 		a := grid3D(g, 4)
-		mg, err := NewMultigrid(a, stackGeo(g, 4), MGOptions{})
+		mg, err := NewMultigrid(a, stackGeo(g, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +238,7 @@ func TestMultigridIterationScaling(t *testing.T) {
 // uses true residuals) and a Refresh must restore the iteration count.
 func TestMultigridRefreshTracksValues(t *testing.T) {
 	a := grid3D(16, 4)
-	mg, err := NewMultigrid(a, stackGeo(16, 4), MGOptions{})
+	mg, err := NewMultigrid(a, stackGeo(16, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +295,7 @@ func TestMultigridRefreshTracksValues(t *testing.T) {
 
 func TestMultigridRefreshRejectsNonSPD(t *testing.T) {
 	a := grid3D(8, 2)
-	mg, err := NewMultigrid(a, stackGeo(8, 2), MGOptions{})
+	mg, err := NewMultigrid(a, stackGeo(8, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,11 +313,11 @@ func TestMultigridRefreshRejectsNonSPD(t *testing.T) {
 func TestMultigridStructureShared(t *testing.T) {
 	a1 := grid3D(16, 3)
 	a2 := grid3D(16, 3)
-	mg1, err := NewMultigrid(a1, stackGeo(16, 3), MGOptions{})
+	mg1, err := NewMultigrid(a1, stackGeo(16, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg2, err := NewMultigrid(a2, stackGeo(16, 3), MGOptions{})
+	mg2, err := NewMultigrid(a2, stackGeo(16, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,14 @@ type Options struct {
 	CriticalC float64
 	// VaryIndices are the chiplets whose power is scaled; nil scales all.
 	VaryIndices []int
-	// MaxScale bounds the search (default 16x nominal).
-	MaxScale float64
-	// TolW is the envelope resolution in watts (default 1).
-	TolW float64
 }
+
+// maxScale bounds the search at 16× the varied chiplets' nominal power, and
+// tolW is the envelope resolution in watts.
+const (
+	maxScale = 16
+	tolW     = 1
+)
 
 // Result reports a TDP envelope.
 type Result struct {
@@ -47,14 +50,6 @@ func Envelope(sys *chiplet.System, p chiplet.Placement, model *thermal.Model, op
 	crit := opt.CriticalC
 	if crit == 0 {
 		crit = 85
-	}
-	maxScale := opt.MaxScale
-	if maxScale == 0 {
-		maxScale = 16
-	}
-	tolW := opt.TolW
-	if tolW == 0 {
-		tolW = 1
 	}
 	vary := opt.VaryIndices
 	if vary == nil {
@@ -96,7 +91,7 @@ func Envelope(sys *chiplet.System, p chiplet.Placement, model *thermal.Model, op
 		return &Result{Feasible: false, PeakC: tLow, EnvelopeW: 0, Scale: 0}, nil
 	}
 
-	lo, hi := 1e-6, maxScale
+	lo, hi := 1e-6, float64(maxScale)
 	tHi, err := peakAt(hi)
 	if err != nil {
 		return nil, fmt.Errorf("tdp: %w", err)

@@ -109,14 +109,17 @@ func TestEnvelopeInfeasibleFixedPower(t *testing.T) {
 func TestEnvelopeUnboundedWithinScale(t *testing.T) {
 	sys, p := tdpSystem()
 	m := model(t)
-	// A very low critical temperature forces infeasibility; a very high one
-	// hits the MaxScale bound.
-	res, err := Envelope(sys, p, m, Options{VaryIndices: []int{0, 1}, CriticalC: 500, MaxScale: 2})
+	// A critical temperature above the peak at 16× nominal power (about
+	// 600 C here) never binds, so the search stops at its fixed 16× bound.
+	res, err := Envelope(sys, p, m, Options{VaryIndices: []int{0, 1}, CriticalC: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Feasible || res.Scale != 2 {
-		t.Errorf("expected scale capped at 2, got %+v", res)
+	if !res.Feasible || res.Scale != 16 {
+		t.Errorf("expected scale capped at 16, got %+v", res)
+	}
+	if want := sys.ScaledSubset(16, []int{0, 1}).TotalPower(); res.EnvelopeW != want {
+		t.Errorf("envelope %v W at the cap, want %v W", res.EnvelopeW, want)
 	}
 }
 

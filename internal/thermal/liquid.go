@@ -61,7 +61,6 @@ func (m *Model) SolveLiquid(sources []Source, lc LiquidCooling) (*Result, error)
 		return nil, err
 	}
 	g := m.grid
-	g2 := g * g
 
 	// Assemble the conduction network but replace the sink's uniform
 	// convection with the cold-plate HTC per cell.
@@ -78,7 +77,7 @@ func (m *Model) SolveLiquid(sources []Source, lc LiquidCooling) (*Result, error)
 	t := make([]float64, m.nNodes)
 	rhs := make([]float64, m.nNodes)
 
-	var res *Result
+	var iters int
 	for iter := 0; iter < 6; iter++ {
 		// RHS: power plus the coolant boundary at its current temperature:
 		// g*(T - Tcool) means +g on the diagonal (already assembled) and
@@ -89,7 +88,9 @@ func (m *Model) SolveLiquid(sources []Source, lc LiquidCooling) (*Result, error)
 				rhs[m.sinkNode(i, j)] += gCell * (inletRise + coolRise[j])
 			}
 		}
-		if _, err := sparse.SolveCG(a, t, rhs, sparse.CGOptions{Tol: m.tol, MaxIter: m.maxIter}); err != nil {
+		var err error
+		iters, err = sparse.SolveCG(a, t, rhs, sparse.CGOptions{Tol: cgTol, MaxIter: m.maxIter})
+		if err != nil {
 			return nil, fmt.Errorf("thermal: liquid solve: %w", err)
 		}
 		// Coolant energy balance: heat absorbed in columns 0..j-1 warms the
@@ -118,29 +119,7 @@ func (m *Model) SolveLiquid(sources []Source, lc LiquidCooling) (*Result, error)
 	}
 	m.warm = false // liquid scratch state must not warm-start air solves
 
-	res = &Result{
-		AmbientC:  m.stack.AmbientC,
-		Grid:      g,
-		WidthMM:   m.widthMM,
-		HeightMM:  m.heightMM,
-		ChipTempC: make([]float64, g2),
-	}
-	peak, sum := math.Inf(-1), 0.0
-	pi, pj := 0, 0
-	for i := 0; i < g; i++ {
-		for j := 0; j < g; j++ {
-			tv := m.stack.AmbientC + t[m.devNode(m.chipLayer, i, j)]
-			res.ChipTempC[i*g+j] = tv
-			sum += tv
-			if tv > peak {
-				peak, pi, pj = tv, i, j
-			}
-		}
-	}
-	res.PeakC = peak
-	res.AvgC = sum / float64(g2)
-	res.PeakAt = res.CellCenter(pi, pj)
-	return res, nil
+	return m.buildResult(t, iters), nil
 }
 
 // assembleLiquid mirrors assemble but ends the stack in a cold plate: the

@@ -42,6 +42,9 @@ func TestLiquidMuchCoolerThanAir(t *testing.T) {
 	if liq.PeakC <= liq.AmbientC-25 {
 		t.Errorf("liquid peak %v C implausibly cold", liq.PeakC)
 	}
+	if liq.Iterations <= 0 {
+		t.Errorf("liquid Iterations = %d, want the last CG solve's count", liq.Iterations)
+	}
 }
 
 func TestLiquidOutletSideWarmer(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 )
 
 // relaxedTolFactor is how much the last-resort rung of the recovery ladder
-// loosens the CG tolerance. 100× on the default 1e-6 still ranks placements
+// loosens the CG tolerance. 100× on cgTol (1e-6) still ranks placements
 // that differ by tenths of a degree; the result is flagged as degraded so
 // callers can decide whether to trust it.
 const relaxedTolFactor = 100
@@ -23,14 +23,14 @@ type RecoveryInfo struct {
 	// the warm-started attempt failed to converge.
 	ColdRestarts int `json:"cold_restarts"`
 	// PrecondFallback reports that the solve escalated to the
-	// multigrid-preconditioned rung (for a multigrid model: to a freshly
-	// re-coarsened hierarchy).
+	// multigrid-preconditioned rung (for a multigrid model: a second cold
+	// attempt under its hierarchy).
 	PrecondFallback bool `json:"precond_fallback"`
 	// RelaxedTol is the loosened tolerance of the last-resort rung, zero when
 	// that rung never ran.
 	RelaxedTol float64 `json:"relaxed_tol,omitempty"`
 	// Degraded marks a result accepted under the relaxed tolerance: usable
-	// for ranking, but below the configured accuracy.
+	// for ranking, but below the cgTol accuracy.
 	Degraded bool `json:"degraded"`
 }
 
@@ -84,11 +84,11 @@ func recoverable(ctx context.Context, err error) bool {
 //  1. Cold restart: discard the (possibly misleading) warm state and retry
 //     the same solve — same preconditioner — from the uniform guess.
 //  2. Preconditioner fallback: retry under a multigrid hierarchy, again from
-//     a cold start. A Jacobi model builds its hierarchy only here; a
-//     multigrid model re-coarsens its own first, in case a stale hierarchy
-//     is what failed.
+//     a cold start. A Jacobi model builds its hierarchy only here; for a
+//     multigrid model this is a second cold attempt under the same
+//     hierarchy, which is already current for the assembled values.
 //  3. Relaxed tolerance: one last attempt under the same hierarchy at
-//     relaxedTolFactor× the configured tolerance; success is flagged
+//     relaxedTolFactor× cgTol; success is flagged
 //     Degraded on the result.
 //
 // Each escalation increments its metrics counter and obs extension counter
@@ -122,7 +122,6 @@ func (m *Model) recoverSolve(ctx context.Context, a *sparse.CSR, cg *sparse.CGSo
 		m.ctr.CGFallbackPrecond++
 	}
 	m.obs.Add("cg_fallback_precond", 1)
-	m.mgStale = true
 	mg, err := m.ensureMG(a)
 	if err != nil {
 		sp.End()

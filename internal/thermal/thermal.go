@@ -42,17 +42,6 @@ type Options struct {
 	// Stack describes the layers and boundary; zero value means
 	// material.DefaultStack().
 	Stack *material.Stack
-	// Tol is the CG relative residual tolerance (default 1e-6, amply tight
-	// for ranking placements that differ by tenths of a degree).
-	Tol float64
-	// MaxIter caps CG iterations. The default is grid-aware: CG on this
-	// conductance matrix converges in O(grid) iterations (its condition
-	// number grows like grid², and CG needs ~√cond steps), so the budget is
-	// maxIterPerGrid·grid — ample headroom over observed cold starts, without
-	// the old 20·grid² cap that let a 256×256 divergence burn 1.3M iterations
-	// before failing. A converging solve never reaches either cap, so the
-	// change cannot alter any converged temperature field.
-	MaxIter int
 	// Precond overrides the grid-selected CG preconditioner for
 	// steady-state solves. The empty default picks by grid: the Jacobi
 	// diagonal fused into the CG loop below grid 96 (the historical path,
@@ -99,8 +88,7 @@ type Model struct {
 	widthMM, heightMM float64
 	grid              int
 	stack             material.Stack
-	tol               float64
-	maxIter           int
+	maxIter           int // CG iteration budget, maxIterPerGrid·grid
 
 	nDevLayers int // device layers (from stack)
 	chipLayer  int // index of heterogeneous power layer
@@ -152,19 +140,15 @@ type Model struct {
 	// stale hierarchy measurably inflates iteration counts at fine grids
 	// (anneal-scale footprint moves cross more cell boundaries there), so
 	// eager refresh wins; power-only re-solves and scenario batches leave the
-	// values untouched and skip it entirely. mgBaseIters remembers the
-	// iteration count of the first solve after a refresh as the hierarchy's
-	// healthy baseline, and mgStale forces a refresh ahead of any value
-	// change when a solve degrades far past that baseline (or needed the
-	// recovery ladder) — a backstop for drift the generation counter cannot
-	// see, such as fault injection.
-	precond     string
-	mg          *sparse.Multigrid
-	mgA         *sparse.CSR
-	valGen      int64
-	mgGen       int64
-	mgBaseIters int
-	mgStale     bool
+	// values untouched and skip it entirely. A refresh is a deterministic
+	// function of the fine values, so the generation is the only staleness
+	// signal needed: re-coarsening at an unchanged generation would rebuild
+	// the same hierarchy bit for bit.
+	precond string
+	mg      *sparse.Multigrid
+	mgA     *sparse.CSR
+	valGen  int64
+	mgGen   int64
 
 	ctr       *metrics.Counters
 	obs       *obs.Observer
@@ -185,21 +169,16 @@ const (
 // Jacobi path, byte for byte.
 const autoMGGrid = 96
 
-// maxIterPerGrid scales the default CG iteration budget: observed cold-start
-// Jacobi solves run well under 10·grid iterations, so 40·grid is a 4×+ safety
+// cgTol is the CG relative residual tolerance, amply tight for ranking
+// placements that differ by tenths of a degree.
+const cgTol = 1e-6
+
+// maxIterPerGrid scales the CG iteration budget with the grid: CG on this
+// conductance matrix converges in O(grid) iterations (its condition number
+// grows like grid², and CG needs ~√cond steps). Observed cold-start Jacobi
+// solves run well under 10·grid iterations, so 40·grid is a 4×+ safety
 // margin that still fails a genuinely divergent solve in seconds.
 const maxIterPerGrid = 40
-
-// mgStaleIterFactor triggers a hierarchy refresh without a value change:
-// when a solve takes more than mgStaleIterFactor× the post-refresh baseline
-// iteration count (plus mgStaleIterSlack to ignore warm-start noise on tiny
-// baselines), the preconditioner is not doing its job and re-coarsening —
-// which costs only a few V-cycles' worth of work — pays for itself
-// immediately.
-const (
-	mgStaleIterFactor = 2
-	mgStaleIterSlack  = 4
-)
 
 // NewModel builds a model for an interposer of the given dimensions (mm).
 func NewModel(widthMM, heightMM float64, opt Options) (*Model, error) {
@@ -232,16 +211,9 @@ func NewModel(widthMM, heightMM float64, opt Options) (*Model, error) {
 		heightMM:   heightMM,
 		grid:       grid,
 		stack:      stack,
-		tol:        opt.Tol,
-		maxIter:    opt.MaxIter,
+		maxIter:    maxIterPerGrid * grid,
 		nDevLayers: len(stack.Layers),
 		chipLayer:  chip,
-	}
-	if m.tol <= 0 {
-		m.tol = 1e-6
-	}
-	if m.maxIter <= 0 {
-		m.maxIter = maxIterPerGrid * grid
 	}
 	switch opt.Precond {
 	case "":
@@ -540,24 +512,22 @@ func (m *Model) prepareAssembled(sp *obs.Span, sources []Source) (*sparse.CSR, *
 func (m *Model) ensureMG(a *sparse.CSR) (*sparse.Multigrid, error) {
 	if m.mg == nil || m.mgA != a {
 		geo := sparse.GridGeometry{Layers: m.nDevLayers + 2, Nx: m.grid, Ny: m.grid}
-		mg, err := sparse.NewMultigrid(a, geo, sparse.MGOptions{})
+		mg, err := sparse.NewMultigrid(a, geo)
 		if err != nil {
 			return nil, err
 		}
 		m.mg, m.mgA, m.mgGen = mg, a, m.valGen
-		m.mgBaseIters, m.mgStale = 0, false
 		if m.ctr != nil {
 			m.ctr.MGSetups++
 		}
 		m.obs.Add("mg_setup", 1)
 		return mg, nil
 	}
-	if m.mgStale || m.valGen != m.mgGen {
+	if m.valGen != m.mgGen {
 		if err := m.mg.Refresh(); err != nil {
 			return nil, err
 		}
 		m.mgGen = m.valGen
-		m.mgBaseIters, m.mgStale = 0, false
 		if m.ctr != nil {
 			m.ctr.MGSetups++
 		}
@@ -620,7 +590,7 @@ func (m *Model) solveAssembled(ctx context.Context, a *sparse.CSR, cg *sparse.CG
 	if !m.warm {
 		m.coldGuess()
 	}
-	opt := sparse.CGOptions{Tol: m.tol, MaxIter: m.maxIter, Inject: m.inject}
+	opt := sparse.CGOptions{Tol: cgTol, MaxIter: m.maxIter, Inject: m.inject}
 	if m.precond == precondMG {
 		mg, err := m.ensureMG(a)
 		if err != nil {
@@ -633,18 +603,6 @@ func (m *Model) solveAssembled(ctx context.Context, a *sparse.CSR, cg *sparse.CG
 	var rec *RecoveryInfo
 	if err != nil && recoverable(ctx, err) && !m.noRecover {
 		rec, iters, err = m.recoverSolve(ctx, a, cg, opt)
-	}
-	if m.precond == precondMG {
-		switch {
-		case err != nil || rec != nil:
-			// A failed or ladder-rescued solve means the hierarchy is not
-			// doing its job; re-coarsen before the next one.
-			m.mgStale = true
-		case m.mgBaseIters == 0:
-			m.mgBaseIters = iters
-		case iters > mgStaleIterFactor*m.mgBaseIters+mgStaleIterSlack:
-			m.mgStale = true
-		}
 	}
 	if err != nil {
 		m.warm = false

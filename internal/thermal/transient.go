@@ -60,7 +60,7 @@ func (m *Model) SolveTransient(sources []Source, dt float64, nsteps int) (*Trans
 		for i := range rhs {
 			rhs[i] = m.power[i] + coverDt[i]*t[i]
 		}
-		if _, err := sparse.SolveCG(a, t, rhs, sparse.CGOptions{Tol: m.tol, MaxIter: m.maxIter}); err != nil {
+		if _, err := sparse.SolveCG(a, t, rhs, sparse.CGOptions{Tol: cgTol, MaxIter: m.maxIter}); err != nil {
 			return nil, fmt.Errorf("thermal: transient step %d: %w", step, err)
 		}
 		peak := math.Inf(-1)
