@@ -338,6 +338,12 @@ func TestCancelWhileRunning(t *testing.T) {
 	if final.FinishedAt == nil {
 		t.Fatalf("canceled job has no finish time: %+v", final)
 	}
+	// The worker increments JobsCanceled after persisting the terminal
+	// record, so the counter can trail the observable state briefly.
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.Counters().JobsCanceled != 1 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
 	if c := svc.Counters(); c.JobsCanceled != 1 {
 		t.Fatalf("counters %+v", c)
 	}

@@ -3,7 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -46,8 +46,9 @@ import (
 // and every service worker solving the same model. It is therefore built once
 // per (geometry, pattern) pair and cached process-wide (mgStructCache); a
 // Multigrid instance owns only the numeric state (coarse values, smoother
-// diagonals, the coarsest factorization, scratch), which Refresh recomputes
-// from the live fine values in one deterministic pass.
+// diagonals, the coarsest factorization, scratch), which Refresh brings up to
+// date from the live fine values — recomputing only the rows a value change
+// can reach, with the same bits a from-scratch pass would produce.
 
 // GridGeometry describes the structured layered grid behind a matrix:
 // Layers planes of Ny rows × Nx columns, with node (l, i, j) stored at index
@@ -114,7 +115,21 @@ type mgCacheKey struct {
 	hash                uint64
 }
 
-var mgStructCache sync.Map // mgCacheKey -> *mgStructure
+// mgStructCacheMax bounds the process-wide symbolic cache. A placement flow
+// or a worker pool reuses one geometry, so a handful of entries covers the
+// working set, while each new interposer size or grid a long-lived service
+// sees would otherwise pin its hierarchy (~7 MB at grid 64, ~28 MB at grid
+// 128) forever. Evicting an entry only costs a rebuild on its next use; live
+// Multigrid instances keep their own reference.
+const mgStructCacheMax = 4
+
+// mgStructCache maps mgCacheKey to *mgStructure, evicting the oldest entry
+// beyond mgStructCacheMax.
+var mgStructCache struct {
+	sync.Mutex
+	m     map[mgCacheKey]*mgStructure
+	order []mgCacheKey // insertion order, oldest first
+}
 
 // patternHash is FNV-1a over the CSR row pointers and column indices.
 func patternHash(a *CSR) uint64 {
@@ -242,8 +257,7 @@ func buildCoarsePattern(lev *mgLevel, fineRowPtr, fineCol []int32) {
 				}
 			}
 		}
-		row := cols[start:]
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
+		slices.Sort(cols[start:])
 		lev.rowPtr[I+1] = int32(len(cols))
 	}
 	lev.col = cols
@@ -287,12 +301,31 @@ func findVertSlots(n, nxy int, rowPtr, col []int32) (up, dn []int32) {
 }
 
 // mgStructureFor returns the shared symbolic hierarchy for (a, geo), building
-// and caching it on first use.
+// and caching it on first use. The build runs under the cache lock, so
+// replicas that start together build a hierarchy once and share it.
 func mgStructureFor(a *CSR, geo GridGeometry) *mgStructure {
 	key := mgCacheKey{layers: geo.Layers, nx: geo.Nx, ny: geo.Ny, nnz: a.NNZ(), hash: patternHash(a)}
-	if v, ok := mgStructCache.Load(key); ok {
-		return v.(*mgStructure)
+	c := &mgStructCache
+	c.Lock()
+	defer c.Unlock()
+	if s, ok := c.m[key]; ok {
+		return s
 	}
+	s := buildMGStructure(a, geo)
+	if c.m == nil {
+		c.m = make(map[mgCacheKey]*mgStructure)
+	}
+	c.m[key] = s
+	c.order = append(c.order, key)
+	if len(c.order) > mgStructCacheMax {
+		delete(c.m, c.order[0])
+		c.order = slices.Delete(c.order, 0, 1)
+	}
+	return s
+}
+
+// buildMGStructure coarsens (a, geo) into a symbolic hierarchy.
+func buildMGStructure(a *CSR, geo GridGeometry) *mgStructure {
 	s := &mgStructure{geo: geo}
 	fine := &mgLevel{nx: geo.Nx, ny: geo.Ny, n: geo.Nodes()}
 	fine.diagSlot = findDiagSlots(fine.n, a.RowPtr, a.Col)
@@ -314,9 +347,6 @@ func mgStructureFor(a *CSR, geo GridGeometry) *mgStructure {
 		rowPtr, col = lev.rowPtr, lev.col
 		nx, ny = nxC, nyC
 	}
-	if v, loaded := mgStructCache.LoadOrStore(key, s); loaded {
-		return v.(*mgStructure)
-	}
 	return s
 }
 
@@ -325,11 +355,15 @@ func mgStructureFor(a *CSR, geo GridGeometry) *mgStructure {
 // levels own Galerkin values over the shared pattern), the line smoother's
 // per-column tridiagonal LDLᵀ factors (lfac holds the unit-lower multiplier
 // of each row toward the layer below, dinv the inverse pivots), the inverse
-// point diagonal for the coarsest-level GS fallback, and scratch vectors.
+// point diagonal for the coarsest-level GS fallback (coarsest level only),
+// the rows the current Refresh recomputes, and V-cycle scratch: r and z for
+// the restricted defect and its correction (levels ≥ 1; level 0 works in the
+// caller's vectors), t for the residual (every level but the coarsest).
 type mgLevelData struct {
 	a          *CSR
 	invD       []float64
 	lfac, dinv []float64
+	dirty      []bool
 	workers    int
 	r, z, t    []float64
 }
@@ -353,6 +387,11 @@ type Multigrid struct {
 	ws   []float64 // Galerkin scatter workspace, maxCoarseN long
 	line []float64 // line-smoother block scratch, Layers long
 
+	// needFull makes the next Refresh recompute every row: set for a fresh
+	// instance and by a failed Refresh, whose partial updates the row marks
+	// no longer describe.
+	needFull bool
+
 	cycles, setups int64
 }
 
@@ -360,7 +399,7 @@ type Multigrid struct {
 // out as geo describes. The symbolic hierarchy is reused from the
 // process-wide cache when an identical (geometry, pattern) pair was built
 // before; the numeric state is initialized from a's current values (an
-// initial Refresh is included).
+// initial, full Refresh is included).
 func NewMultigrid(a *CSR, geo GridGeometry) (*Multigrid, error) {
 	if geo.Layers <= 0 || geo.Nx <= 0 || geo.Ny <= 0 {
 		return nil, fmt.Errorf("sparse: multigrid geometry %+v not positive", geo)
@@ -370,12 +409,14 @@ func NewMultigrid(a *CSR, geo GridGeometry) (*Multigrid, error) {
 	}
 	s := mgStructureFor(a, geo)
 	mg := &Multigrid{
-		s:    s,
-		a:    a,
-		lv:   make([]mgLevelData, len(s.levels)),
-		ws:   make([]float64, s.maxCoarseN),
-		line: make([]float64, geo.Layers),
+		s:        s,
+		a:        a,
+		lv:       make([]mgLevelData, len(s.levels)),
+		ws:       make([]float64, s.maxCoarseN),
+		line:     make([]float64, geo.Layers),
+		needFull: true,
 	}
+	last := len(s.levels) - 1
 	for l, lev := range s.levels {
 		d := &mg.lv[l]
 		if l == 0 {
@@ -384,18 +425,23 @@ func NewMultigrid(a *CSR, geo GridGeometry) (*Multigrid, error) {
 			// in-place updates to the bound matrix between refreshes leave
 			// the whole hierarchy consistently stale. Mixing live level-0
 			// values with stale coarse operators and smoother diagonals can
-			// lose positive definiteness.
+			// lose positive definiteness. The snapshot is also what Refresh
+			// diffs against to find the rows that changed.
 			d.a = &CSR{N: a.N, RowPtr: a.RowPtr, Col: a.Col, Val: make([]float64, len(a.Val))}
 		} else {
 			d.a = &CSR{N: lev.n, RowPtr: lev.rowPtr, Col: lev.col, Val: make([]float64, len(lev.col))}
+			d.r = make([]float64, lev.n)
+			d.z = make([]float64, lev.n)
 		}
-		d.invD = make([]float64, lev.n)
+		if l == last {
+			d.invD = make([]float64, lev.n)
+		} else {
+			d.t = make([]float64, lev.n)
+		}
 		d.lfac = make([]float64, lev.n)
 		d.dinv = make([]float64, lev.n)
+		d.dirty = make([]bool, lev.n)
 		d.workers = parallelWorkers(lev.n)
-		d.r = make([]float64, lev.n)
-		d.z = make([]float64, lev.n)
-		d.t = make([]float64, lev.n)
 	}
 	if err := mg.Refresh(); err != nil {
 		return nil, err
@@ -410,99 +456,171 @@ func (mg *Multigrid) Levels() int { return len(mg.lv) }
 // Cycles returns the number of V-cycles applied since construction.
 func (mg *Multigrid) Cycles() int64 { return mg.cycles }
 
-// Setups returns the number of Refresh passes (including the constructor's).
+// Setups returns the number of successful Refresh passes (including the
+// constructor's).
 func (mg *Multigrid) Setups() int64 { return mg.setups }
 
-// Refresh recomputes the numeric hierarchy from the bound matrix's current
-// values: Galerkin coarse operators level by level, smoother diagonals, and
-// the coarsest-level factorization. The pass is one deterministic serial
-// sweep, so refreshed hierarchies — and therefore preconditioned iteration
-// counts — are reproducible across runs.
+// Refresh brings the numeric hierarchy up to date with the bound matrix's
+// current values. It recomputes only what a changed value can reach:
+//
+//   - the fine rows whose values differ, bit for bit, from the level-0
+//     snapshot (only those rows are copied in);
+//   - on each coarser level, the parents of the previous level's changed
+//     rows — a Galerkin row reads only its fine children's rows — and their
+//     Galerkin values;
+//   - the inverse diagonals of changed rows, the line-smoother factors of
+//     columns holding a changed row, and the coarsest factorization when its
+//     level has a changed row.
+//
+// Every recomputed quantity is a fixed-order function of its inputs, and the
+// ones skipped have inputs that did not change, so the result is bit-identical
+// to a from-scratch refresh — and preconditioned iteration counts are
+// reproducible across runs. The first Refresh (the constructor's) and the one
+// after a failed Refresh recompute every row. A failed Refresh leaves the
+// hierarchy unusable until the next successful one.
 func (mg *Multigrid) Refresh() error {
-	copy(mg.lv[0].a.Val, mg.a.Val)
+	full := mg.needFull
+	mg.needFull = true // cleared only by a successful pass
+	mg.markFine(full)
 	for l := 1; l < len(mg.lv); l++ {
-		mg.galerkin(l)
+		mg.markParents(l)
+		lev, d := mg.s.levels[l], &mg.lv[l]
+		for I, dirty := range d.dirty {
+			if dirty {
+				mg.galerkinRow(lev, mg.lv[l-1].a, d.a, I)
+			}
+		}
 	}
 	for l := range mg.lv {
-		lev, d := mg.s.levels[l], &mg.lv[l]
-		for i, slot := range lev.diagSlot {
-			var v float64
-			if slot >= 0 {
-				v = d.a.Val[slot]
-			}
-			if v <= 0 {
-				return fmt.Errorf("sparse: multigrid level %d has non-positive diagonal %g at row %d; matrix not SPD", l, v, i)
-			}
-			d.invD[i] = 1 / v
-		}
-		// Factor each vertical column's tridiagonal block (diagonal plus the
-		// up/down couplings) as LDLᵀ for the line smoother. The blocks are
-		// principal submatrices of an SPD operator, so positive pivots are
-		// guaranteed in exact arithmetic; a non-positive one means the
-		// operator itself lost definiteness.
-		nxy := lev.nx * lev.ny
-		layers := mg.s.geo.Layers
-		for c := 0; c < nxy; c++ {
-			prev := 0.0
-			for p := 0; p < layers; p++ {
-				i := p*nxy + c
-				piv := d.a.Val[lev.diagSlot[i]]
-				d.lfac[i] = 0
-				if p > 0 {
-					if s := lev.upSlot[i-nxy]; s >= 0 {
-						m := d.a.Val[s] * prev
-						d.lfac[i] = m
-						piv -= m * d.a.Val[s]
-					}
-				}
-				if piv <= 0 {
-					return fmt.Errorf("sparse: multigrid level %d line pivot %g <= 0 at row %d; matrix not SPD", l, piv, i)
-				}
-				prev = 1 / piv
-				d.dinv[i] = prev
-			}
+		if err := mg.refreshSmoother(l); err != nil {
+			return err
 		}
 	}
 	last := &mg.lv[len(mg.lv)-1]
-	if last.a.N <= coarsestMaxDense {
-		chol, err := denseCholesky(last.a)
+	if last.a.N <= coarsestMaxDense && slices.Contains(last.dirty, true) {
+		chol, err := denseCholesky(last.a, mg.chol)
 		if err != nil {
 			return fmt.Errorf("sparse: multigrid coarsest level: %w", err)
 		}
 		mg.chol = chol
-	} else {
-		mg.chol = nil
 	}
+	mg.needFull = false
 	mg.setups++
 	return nil
 }
 
-// galerkin recomputes level l's operator values as Pᵀ·A_{l-1}·P: for each
-// coarse row, contributions are scattered into a dense workspace through the
-// fixed interpolation lists and gathered back into the (superset-by-
-// construction) pattern slots. Serial and in fixed order, hence
-// deterministic.
-func (mg *Multigrid) galerkin(l int) {
-	lev := mg.s.levels[l]
-	fine, coarse := mg.lv[l-1].a, mg.lv[l].a
-	ws := mg.ws
-	for I := 0; I < coarse.N; I++ {
-		for q := lev.ptPtr[I]; q < lev.ptPtr[I+1]; q++ {
-			fi := int(lev.ptCol[q])
-			wI := lev.ptW[q]
-			for k := fine.RowPtr[fi]; k < fine.RowPtr[fi+1]; k++ {
-				v := wI * fine.Val[k]
-				fj := int(fine.Col[k])
-				for p := lev.pPtr[fj]; p < lev.pPtr[fj+1]; p++ {
-					ws[lev.pCol[p]] += v * lev.pW[p]
-				}
+// markFine marks the fine rows whose bound values differ from the level-0
+// snapshot (every row when full) and copies those rows into the snapshot.
+func (mg *Multigrid) markFine(full bool) {
+	snap, live, dirty := mg.lv[0].a.Val, mg.a.Val, mg.lv[0].dirty
+	rowPtr := mg.a.RowPtr
+	for i := range dirty {
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		changed := full
+		for k := lo; k < hi && !changed; k++ {
+			changed = math.Float64bits(snap[k]) != math.Float64bits(live[k])
+		}
+		if changed {
+			copy(snap[lo:hi], live[lo:hi])
+		}
+		dirty[i] = changed
+	}
+}
+
+// markParents marks the rows of level l that have a marked child on level
+// l-1: exactly the Galerkin rows whose inputs changed.
+func (mg *Multigrid) markParents(l int) {
+	lev, dirty := mg.s.levels[l], mg.lv[l].dirty
+	clear(dirty)
+	for f, changed := range mg.lv[l-1].dirty {
+		if changed {
+			for p := lev.pPtr[f]; p < lev.pPtr[f+1]; p++ {
+				dirty[lev.pCol[p]] = true
 			}
 		}
-		for k := coarse.RowPtr[I]; k < coarse.RowPtr[I+1]; k++ {
-			J := coarse.Col[k]
-			coarse.Val[k] = ws[J]
-			ws[J] = 0
+	}
+}
+
+// refreshSmoother checks the diagonals of level l's marked rows, updates
+// their inverses (coarsest level only), and refactors the line-smoother
+// blocks of every column holding a marked row.
+func (mg *Multigrid) refreshSmoother(l int) error {
+	lev, d := mg.s.levels[l], &mg.lv[l]
+	for i, slot := range lev.diagSlot {
+		if !d.dirty[i] {
+			continue
 		}
+		var v float64
+		if slot >= 0 {
+			v = d.a.Val[slot]
+		}
+		if v <= 0 {
+			return fmt.Errorf("sparse: multigrid level %d has non-positive diagonal %g at row %d; matrix not SPD", l, v, i)
+		}
+		if d.invD != nil {
+			d.invD[i] = 1 / v
+		}
+	}
+	// Factor each vertical column's tridiagonal block (diagonal plus the
+	// up/down couplings) as LDLᵀ for the line smoother. The blocks are
+	// principal submatrices of an SPD operator, so positive pivots are
+	// guaranteed in exact arithmetic; a non-positive one means the operator
+	// itself lost definiteness. A block reads only its own column's rows.
+	nxy := lev.nx * lev.ny
+	layers := mg.s.geo.Layers
+	for c := 0; c < nxy; c++ {
+		changed := false
+		for p := 0; p < layers && !changed; p++ {
+			changed = d.dirty[p*nxy+c]
+		}
+		if !changed {
+			continue
+		}
+		prev := 0.0
+		for p := 0; p < layers; p++ {
+			i := p*nxy + c
+			piv := d.a.Val[lev.diagSlot[i]]
+			d.lfac[i] = 0
+			if p > 0 {
+				if s := lev.upSlot[i-nxy]; s >= 0 {
+					m := d.a.Val[s] * prev
+					d.lfac[i] = m
+					piv -= m * d.a.Val[s]
+				}
+			}
+			if piv <= 0 {
+				return fmt.Errorf("sparse: multigrid level %d line pivot %g <= 0 at row %d; matrix not SPD", l, piv, i)
+			}
+			prev = 1 / piv
+			d.dinv[i] = prev
+		}
+	}
+	return nil
+}
+
+// galerkinRow recomputes row I of a coarse operator as (Pᵀ·A·P)[I,:] from
+// the fine operator and lev's interpolation: contributions are scattered into
+// a dense workspace through the fixed interpolation lists and gathered back
+// into the (superset-by-construction) pattern slots, which also re-zeroes the
+// workspace. Serial and in fixed order, hence deterministic, and independent
+// of every other row.
+func (mg *Multigrid) galerkinRow(lev *mgLevel, fine, coarse *CSR, I int) {
+	ws := mg.ws
+	for q := lev.ptPtr[I]; q < lev.ptPtr[I+1]; q++ {
+		fi := int(lev.ptCol[q])
+		wI := lev.ptW[q]
+		for k := fine.RowPtr[fi]; k < fine.RowPtr[fi+1]; k++ {
+			v := wI * fine.Val[k]
+			fj := int(fine.Col[k])
+			for p := lev.pPtr[fj]; p < lev.pPtr[fj+1]; p++ {
+				ws[lev.pCol[p]] += v * lev.pW[p]
+			}
+		}
+	}
+	for k := coarse.RowPtr[I]; k < coarse.RowPtr[I+1]; k++ {
+		J := coarse.Col[k]
+		coarse.Val[k] = ws[J]
+		ws[J] = 0
 	}
 }
 
@@ -647,10 +765,16 @@ func (mg *Multigrid) coarseGS(d *mgLevelData, z, r []float64) {
 }
 
 // denseCholesky factors the (small) coarsest operator into a dense lower
-// triangle L with A = L·Lᵀ.
-func denseCholesky(a *CSR) ([]float64, error) {
+// triangle L with A = L·Lᵀ, reusing buf's storage when it is large enough.
+func denseCholesky(a *CSR, buf []float64) ([]float64, error) {
 	n := a.N
-	L := make([]float64, n*n)
+	L := buf
+	if cap(L) < n*n {
+		L = make([]float64, n*n)
+	} else {
+		L = L[:n*n]
+		clear(L)
+	}
 	for i := 0; i < n; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			L[i*n+int(a.Col[k])] = a.Val[k]

@@ -1,8 +1,10 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -328,7 +330,7 @@ func TestMultigridStructureShared(t *testing.T) {
 
 func TestDenseCholeskySolve(t *testing.T) {
 	a := grid3D(8, 1) // small SPD system, factored entirely
-	L, err := denseCholesky(a)
+	L, err := denseCholesky(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,5 +347,208 @@ func TestDenseCholeskySolve(t *testing.T) {
 		if math.Abs(got[i]-want[i]) > 1e-8*(1+math.Abs(want[i])) {
 			t.Fatalf("x[%d] = %g, want %g", i, got[i], want[i])
 		}
+	}
+}
+
+// addCond adds d to the symmetric conductance between nodes i and j of a in
+// place: +d on both diagonals, -d on both couplings.
+func addCond(t *testing.T, a *CSR, i, j int, d float64) {
+	t.Helper()
+	slot := func(r, c int) int {
+		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
+			if int(a.Col[k]) == c {
+				return int(k)
+			}
+		}
+		t.Fatalf("no entry (%d, %d)", r, c)
+		return -1
+	}
+	a.Val[slot(i, i)] += d
+	a.Val[slot(j, j)] += d
+	a.Val[slot(i, j)] -= d
+	a.Val[slot(j, i)] -= d
+}
+
+// localMove perturbs the conductances of a random in-plane window, the way
+// one annealing move rewrites the cells a chiplet footprint covers: lateral
+// couplings on layer 1 and the vertical couplings from the layer below the
+// top into the top layer (the spreader coupling of the thermal stack).
+func localMove(t *testing.T, a *CSR, g, layers int, rng *rand.Rand) {
+	t.Helper()
+	id := func(z, i, j int) int { return z*g*g + i*g + j }
+	w := 2 + rng.Intn(4)
+	i0, j0 := rng.Intn(g-w), rng.Intn(g-w)
+	for i := i0; i < i0+w; i++ {
+		for j := j0; j < j0+w; j++ {
+			addCond(t, a, id(1, i, j), id(1, i, j+1), 0.5*rng.Float64())
+			addCond(t, a, id(1, i, j), id(1, i+1, j), 0.5*rng.Float64())
+			addCond(t, a, id(layers-2, i, j), id(layers-1, i, j), rng.Float64())
+		}
+	}
+}
+
+// sameBits fails unless got and want hold the same float64 bits.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// matchesFresh fails unless mg's numeric hierarchy and V-cycle are
+// bit-identical to a freshly built Multigrid over the same matrix.
+func matchesFresh(t *testing.T, mg *Multigrid, r []float64) {
+	t.Helper()
+	fresh, err := NewMultigrid(mg.a, mg.s.geo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l := range fresh.lv {
+		got, want := &mg.lv[l], &fresh.lv[l]
+		sameBits(t, fmt.Sprintf("level %d values", l), got.a.Val, want.a.Val)
+		sameBits(t, fmt.Sprintf("level %d lfac", l), got.lfac, want.lfac)
+		sameBits(t, fmt.Sprintf("level %d dinv", l), got.dinv, want.dinv)
+		sameBits(t, fmt.Sprintf("level %d invD", l), got.invD, want.invD)
+	}
+	sameBits(t, "coarsest Cholesky", mg.chol, fresh.chol)
+	got := make([]float64, len(r))
+	want := make([]float64, len(r))
+	mg.Apply(got, r)
+	fresh.Apply(want, r)
+	sameBits(t, "Apply", got, want)
+}
+
+// TestMultigridIncrementalRefreshBitIdentical: a Refresh after local value
+// changes recomputes only the rows those changes reach, and must leave every
+// level's operator, smoother factors, coarsest factorization and V-cycle
+// bit-identical to a from-scratch hierarchy — including a no-op Refresh that
+// recomputes nothing. Grid 17 exercises the uncoarsenable GS-fallback level.
+func TestMultigridIncrementalRefreshBitIdentical(t *testing.T) {
+	const layers = 4
+	for _, g := range []int{16, 17, 64} {
+		t.Run(fmt.Sprint(g), func(t *testing.T) {
+			a := grid3D(g, layers)
+			rng := rand.New(rand.NewSource(int64(g)))
+			mg, err := NewMultigrid(a, stackGeo(g, layers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := make([]float64, a.N)
+			for i := range r {
+				r[i] = rng.NormFloat64()
+			}
+			for step := 0; step < 4; step++ {
+				localMove(t, a, g, layers, rng)
+				if err := mg.Refresh(); err != nil {
+					t.Fatal(err)
+				}
+				if n := countTrue(mg.lv[0].dirty); n == 0 || n == a.N {
+					t.Fatalf("step %d: %d of %d fine rows recomputed, want a strict subset", step, n, a.N)
+				}
+				matchesFresh(t, mg, r)
+			}
+			if err := mg.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+			for l := range mg.lv {
+				if n := countTrue(mg.lv[l].dirty); n != 0 {
+					t.Fatalf("no-op Refresh recomputed %d rows on level %d", n, l)
+				}
+			}
+			matchesFresh(t, mg, r)
+			if got := mg.Setups(); got != 6 {
+				t.Fatalf("Setups() = %d, want 6", got)
+			}
+		})
+	}
+}
+
+// TestMultigridRefreshAfterFailureIsFull: a Refresh that fails part-way has
+// already rewritten some rows, so the next Refresh must recompute every row
+// rather than trust the row marks — it fails again on the unchanged non-SPD
+// matrix, and once the matrix is repaired it matches a fresh hierarchy.
+func TestMultigridRefreshAfterFailureIsFull(t *testing.T) {
+	const g, layers = 16, 4
+	a := grid3D(g, layers)
+	mg, err := NewMultigrid(a, stackGeo(g, layers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := mg.s.levels[0].diagSlot[5*g+3]
+	orig := a.Val[slot]
+	a.Val[slot] = -orig
+	if err := mg.Refresh(); err == nil {
+		t.Fatal("Refresh accepted a negative diagonal")
+	}
+	if err := mg.Refresh(); err == nil {
+		t.Fatal("second Refresh of the unchanged non-SPD matrix succeeded")
+	}
+	a.Val[slot] = orig
+	if err := mg.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if n := countTrue(mg.lv[0].dirty); n != a.N {
+		t.Fatalf("Refresh after a failure recomputed %d of %d fine rows, want all", n, a.N)
+	}
+	r := make([]float64, a.N)
+	for i := range r {
+		r[i] = float64(i%11) - 5
+	}
+	matchesFresh(t, mg, r)
+	if got := mg.Setups(); got != 2 {
+		t.Fatalf("Setups() = %d, want 2 (failed passes do not count)", got)
+	}
+}
+
+func countTrue(marks []bool) int {
+	n := 0
+	for _, m := range marks {
+		if m {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMultigridStructCacheBounded: the process-wide symbolic cache keeps at
+// most mgStructCacheMax hierarchies, evicting the oldest, while instances
+// whose structure was evicted keep working. The builds run concurrently, as
+// service workers and best-of-N replicas do.
+func TestMultigridStructCacheBounded(t *testing.T) {
+	var wg sync.WaitGroup
+	for k := 0; k <= mgStructCacheMax; k++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			mg, err := NewMultigrid(grid3D(g, 2), stackGeo(g, 2))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			r := make([]float64, mg.a.N)
+			for i := range r {
+				r[i] = 1
+			}
+			z := make([]float64, len(r))
+			mg.Apply(z, r)
+			for i, v := range z {
+				if !(v > 0) {
+					t.Errorf("grid %d: z[%d] = %v, want > 0", g, i, v)
+					return
+				}
+			}
+		}(8 + 2*k)
+	}
+	wg.Wait()
+	mgStructCache.Lock()
+	n := len(mgStructCache.m)
+	mgStructCache.Unlock()
+	if n != mgStructCacheMax {
+		t.Fatalf("cache holds %d hierarchies, want %d", n, mgStructCacheMax)
 	}
 }

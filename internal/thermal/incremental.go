@@ -109,6 +109,11 @@ func (m *Model) initIncremental(sources []Source) error {
 	m.plan = m.plan[:0]
 	m.assembleFull(true)
 	m.fixed = m.builder.BuildFixed()
+	// The delta path never reads the coordinate list again; drop it rather
+	// than pin 16 bytes per entry for the model's lifetime. The
+	// full-assembly paths (DisableIncremental, transient, liquid) regrow it
+	// on demand.
+	m.builder = sparse.NewBuilder(m.nNodes)
 	m.cg = sparse.NewCGSolver(m.fixed.Mat)
 	m.buildCellDeps()
 	g2 := m.grid * m.grid

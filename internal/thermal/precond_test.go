@@ -124,30 +124,39 @@ func TestPrecondAgreement(t *testing.T) {
 	}
 }
 
-// TestPrecondAutoGrid64BitIdentical guards the seed's byte-for-byte behavior:
-// the grid-selected default resolves to the historical Jacobi path below
-// grid 96, so a grid-64 solve must be bit-identical to an explicit Jacobi
-// model — same iteration count, same bits in every cell.
+// TestPrecondAutoGrid64BitIdentical pins the grid-selected default on each
+// side of autoMGGrid: at grid 48 it is the historical Jacobi path, and at the
+// paper's grid 64 it is the multigrid path — each bit-identical to an
+// explicit override, same iteration count and same bits in every cell.
 func TestPrecondAutoGrid64BitIdentical(t *testing.T) {
-	pc := precondCases()[1] // cpudram at grid 64
-	def := solveWith(t, pc, "")
-	jac := solveWith(t, pc, "jacobi")
-	if jac.Iterations != def.Iterations {
-		t.Fatalf("jacobi took %d iterations, default %d", jac.Iterations, def.Iterations)
-	}
-	for i := range def.ChipTempC {
-		if math.Float64bits(jac.ChipTempC[i]) != math.Float64bits(def.ChipTempC[i]) {
-			t.Fatalf("cell %d differs: %v vs %v", i, jac.ChipTempC[i], def.ChipTempC[i])
+	for _, tc := range []struct {
+		grid    int
+		precond string
+	}{
+		{48, precondJacobi},
+		{64, precondMG},
+	} {
+		pc := precondCases()[1] // cpudram
+		pc.grid = tc.grid
+		def := solveWith(t, pc, "")
+		exp := solveWith(t, pc, tc.precond)
+		if exp.Iterations != def.Iterations {
+			t.Fatalf("grid %d: %s took %d iterations, default %d", tc.grid, tc.precond, exp.Iterations, def.Iterations)
+		}
+		for i := range def.ChipTempC {
+			if math.Float64bits(exp.ChipTempC[i]) != math.Float64bits(def.ChipTempC[i]) {
+				t.Fatalf("grid %d: cell %d differs: %s %v vs default %v", tc.grid, i, tc.precond, exp.ChipTempC[i], def.ChipTempC[i])
+			}
 		}
 	}
 }
 
-// TestPrecondAutoSelectsMGAtFineGrids: at grid ≥ 96 the default runs the
+// TestPrecondAutoSelectsMGAtFineGrids: from grid 64 up the default runs the
 // multigrid path, visible through the mg_cycles/mg_setups counters.
 func TestPrecondAutoSelectsMGAtFineGrids(t *testing.T) {
 	var ctr metrics.Counters
 	stack := material.DefaultStackFor(45, 45)
-	m, err := NewModel(45, 45, Options{Grid: 96, Stack: &stack, Counters: &ctr})
+	m, err := NewModel(45, 45, Options{Grid: 64, Stack: &stack, Counters: &ctr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +164,7 @@ func TestPrecondAutoSelectsMGAtFineGrids(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ctr.MGSetups == 0 || ctr.MGCycles == 0 {
-		t.Fatalf("auto at grid 96 did not run multigrid: setups=%d cycles=%d", ctr.MGSetups, ctr.MGCycles)
+		t.Fatalf("auto at grid 64 did not run multigrid: setups=%d cycles=%d", ctr.MGSetups, ctr.MGCycles)
 	}
 }
 

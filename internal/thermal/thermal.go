@@ -10,8 +10,9 @@
 //
 // Temperatures are solved as rises over the ambient (45 °C by default); the
 // linear system G·T = P is symmetric positive definite and is solved with
-// Jacobi-preconditioned conjugate gradients, warm-started from the previous
-// solve so that consecutive simulated-annealing steps converge quickly.
+// preconditioned conjugate gradients (Jacobi below grid 64, a geometric
+// multigrid V-cycle from 64 up), warm-started from the previous solve so
+// that consecutive simulated-annealing steps converge quickly.
 package thermal
 
 import (
@@ -44,8 +45,8 @@ type Options struct {
 	Stack *material.Stack
 	// Precond overrides the grid-selected CG preconditioner for
 	// steady-state solves. The empty default picks by grid: the Jacobi
-	// diagonal fused into the CG loop below grid 96 (the historical path,
-	// byte for byte), a geometric multigrid V-cycle from 96 up, where its
+	// diagonal fused into the CG loop below grid 64 (the historical path,
+	// byte for byte), a geometric multigrid V-cycle from 64 up, where its
 	// near-grid-independent iteration count pays for the hierarchy.
 	// "jacobi" or "mg" forces one path at any grid; it exists for the
 	// solver-scaling bench and the cross-preconditioner agreement tests,
@@ -136,8 +137,9 @@ type Model struct {
 	// matrix identity changes; valGen counts value-changing
 	// assemblies and the hierarchy is numerically re-coarsened whenever it
 	// advanced past mgGen, the generation of the last refresh. A refresh
-	// costs only a few V-cycles' worth of work, while preconditioning with a
-	// stale hierarchy measurably inflates iteration counts at fine grids
+	// recomputes only the hierarchy rows the changed fine rows reach (a few
+	// percent per annealing move), while preconditioning with a stale
+	// hierarchy measurably inflates iteration counts at fine grids
 	// (anneal-scale footprint moves cross more cell boundaries there), so
 	// eager refresh wins; power-only re-solves and scenario batches leave the
 	// values untouched and skip it entirely. A refresh is a deterministic
@@ -164,10 +166,11 @@ const (
 
 // autoMGGrid is the grid size at which the default preconditioner switches
 // from Jacobi to multigrid. Below it the Jacobi iteration counts are modest
-// and the V-cycle setup is pure overhead; at 96+ the near-constant multigrid
-// iteration count wins. 96 deliberately leaves the paper's default 64 grid on the historical
-// Jacobi path, byte for byte.
-const autoMGGrid = 96
+// and the hierarchy's setup and V-cycle cost are pure overhead; from the
+// paper's default 64 grid up, the near-constant multigrid iteration count
+// wins, because a value-changing assembly refreshes only the hierarchy rows
+// it reaches.
+const autoMGGrid = 64
 
 // cgTol is the CG relative residual tolerance, amply tight for ranking
 // placements that differ by tenths of a degree.
