@@ -449,19 +449,31 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	job, _ := postJob(t, ts, testSpec(3))
 	waitState(t, ts, job.ID, StateDone)
 
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	const completed = "tap25d_jobs_completed_total 1"
+	const latency = `tap25d_named_duration_seconds_count{name="job_latency"} 1`
+	// The worker counts the job and its latency after persisting the terminal
+	// record, so the counter lines can trail the observable state briefly.
+	var body string
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err = http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		body = buf.String()
+		if strings.Contains(body, completed) && strings.Contains(body, latency) || !time.Now().Before(deadline) {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	body := buf.String()
 	for _, want := range []string{
 		"tap25d_jobs_submitted_total 1",
-		"tap25d_jobs_completed_total 1",
+		completed,
 		`tap25d_gauge{name="service_queue_depth"}`,
-		`tap25d_named_duration_seconds_count{name="job_latency"} 1`,
+		latency,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

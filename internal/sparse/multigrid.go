@@ -21,32 +21,47 @@ import (
 //   - cell-centered bilinear prolongation P (≤4 coarse parents per fine cell,
 //     boundary weight folded onto the nearest parent so rows sum to 1 and the
 //     constant vector — the near-nullspace of a conductance matrix — is
-//     reproduced exactly), with restriction R = Pᵀ;
+//     reproduced exactly), with restriction R = Pᵀ. P never mixes layers and
+//     its weights depend only on the in-plane position, so it is stored once
+//     per in-plane column and applied to all of a column's layers in one pass;
 //   - Galerkin coarse operators A_c = Pᵀ·A·P, so every boundary term and
 //     heterogeneous conductance is inherited rather than re-modeled;
 //   - vertical-line block Gauss-Seidel smoothing: one forward sweep before
 //     and one backward sweep after the coarse correction, where each "point"
-//     of the sweep is a whole vertical column solved exactly through its
-//     tridiagonal factorization. Lines in the strong (vertical) direction are
-//     the textbook smoother for this anisotropy — point smoothers leave
-//     vertically-smooth, laterally-oscillatory error untouched, and damped
-//     Jacobi additionally diverges outright on Galerkin coarse operators that
-//     lose diagonal dominance (observed Gershgorin bounds of 5-10 on real
-//     multi-chiplet stacks). Forward and backward sweeps are A-adjoints of
-//     each other and block GS is unconditionally A-norm convergent for SPD
-//     matrices, so the V-cycle is symmetric positive definite with no damping
-//     parameter to tune;
+//     of the sweep is a whole vertical column whose in-column couplings are
+//     solved exactly through their tridiagonal factorization (on the thermal
+//     stacks the spreader and sink are wider than the interposer, so their
+//     couplings mostly leave the column and the block is a device-layer line
+//     plus point updates of the spreader and sink rows). Lines in the strong
+//     (vertical) direction are the textbook smoother for this anisotropy —
+//     point smoothers leave vertically-smooth, laterally-oscillatory error
+//     untouched, and damped Jacobi additionally diverges outright on
+//     Galerkin coarse operators that lose diagonal dominance (observed
+//     Gershgorin bounds of 5-10 on real multi-chiplet stacks). Forward and
+//     backward sweeps are A-adjoints of each other and block GS is
+//     unconditionally A-norm convergent for SPD matrices, so the V-cycle is
+//     symmetric positive definite with no damping parameter to tune;
 //   - a dense Cholesky solve at the coarsest level, falling back to a fixed
 //     number of symmetric Gauss-Seidel sweeps when coarsening stalls early
 //     (odd dimensions) and the coarsest system is too large to factor.
+//
+// Storage order: every smoothed level is numbered line-major, row c·layers+p
+// for layer p of in-plane column c, so a line solve reads one contiguous run
+// of rows, CSR entries, factors and vector entries rather than `layers` rows
+// nx·ny apart. Apply permutes r in from, and z out to, the bound matrix's
+// layer-major numbering once per cycle. The coarsest level keeps the
+// layer-major numbering its dense factorization or GS fallback runs in.
+// Renumbering keeps every row's entries in ascending layer-major column
+// order and every transfer list in its order, so each floating-point
+// operation of the cycle happens in the same order in either numbering.
 //
 // The expensive symbolic work — interpolation weights, coarse sparsity
 // patterns — depends only on the grid geometry and the fine matrix pattern,
 // both of which are shared by every evaluator replica of one placement flow
 // and every service worker solving the same model. It is therefore built once
 // per (geometry, pattern) pair and cached process-wide (mgStructCache); a
-// Multigrid instance owns only the numeric state (coarse values, smoother
-// diagonals, the coarsest factorization, scratch), which Refresh brings up to
+// Multigrid instance owns only the numeric state (operator values, smoother
+// factors, the coarsest factorization, scratch), which Refresh brings up to
 // date from the live fine values — recomputing only the rows a value change
 // can reach, with the same bits a from-scratch pass would produce.
 
@@ -72,30 +87,51 @@ const (
 )
 
 // mgLevel is the immutable, shareable symbolic description of one hierarchy
-// level: its dimensions, its operator sparsity pattern (levels ≥ 1; level 0
-// uses the bound matrix's own pattern), and the interpolation between this
-// level and the next finer one (levels ≥ 1).
+// level: its dimensions and row numbering, its operator sparsity pattern,
+// and the interpolation between this level and the next finer one (levels
+// ≥ 1).
 type mgLevel struct {
-	nx, ny, n int
+	nx, ny, n, layers int
 
-	// Operator pattern and per-row entry slots. rowPtr/col are nil at level 0
-	// (the fine pattern belongs to the caller's matrix); diagSlot, upSlot and
-	// dnSlot — the value-slot indices of a row's diagonal and of its vertical
-	// couplings to the layers above and below (-1 when absent) — are populated
-	// for every level. In-plane coarsening never merges layers, so vertical
-	// couplings stay within a column at stride nx·ny on every level, which is
-	// what makes the line smoother's blocks exactly tridiagonal.
+	// line reports a line-major level (row c·layers + p for layer p of
+	// in-plane column c = i·nx + j): every level but the coarsest, which is
+	// layer-major (row p·nx·ny + c).
+	line bool
+
+	// Operator pattern in this level's numbering (level 0's is the bound
+	// matrix's, renumbered) and per-row entry slots: diagSlot, upSlot and
+	// dnSlot are the value-slot indices of a row's diagonal and of its
+	// couplings to the same column one layer up and one layer down (-1 when
+	// absent), the entries of the line smoother's tridiagonal blocks.
 	rowPtr, col              []int32
 	diagSlot, upSlot, dnSlot []int32
 
-	// Prolongation P from this (coarse) level to the next finer level:
-	// pPtr has fineN+1 entries; row f of P lists the ≤4 coarse parents of
-	// fine node f with bilinear weights. pt* is the transpose (restriction),
-	// indexed by coarse node.
+	// Prolongation P from this (coarse) level to the next finer level, per
+	// in-plane column: fine column f's ≤4 coarse parent columns and bilinear
+	// weights are pCol/pW[pPtr[f]:pPtr[f+1]], and the same list serves every
+	// layer. pt* is the transpose (restriction), indexed by coarse column,
+	// children in ascending order.
 	pPtr, pCol   []int32
 	pW           []float64
 	ptPtr, ptCol []int32
 	ptW          []float64
+}
+
+// row returns the row of layer p of in-plane column c.
+func (lev *mgLevel) row(p, c int) int {
+	if lev.line {
+		return c*lev.layers + p
+	}
+	return p*lev.nx*lev.ny + c
+}
+
+// pos is row's inverse: the layer and in-plane column of row i.
+func (lev *mgLevel) pos(i int) (p, c int) {
+	if lev.line {
+		return i % lev.layers, i / lev.layers
+	}
+	nxy := lev.nx * lev.ny
+	return i / nxy, i % nxy
 }
 
 // mgStructure is the full symbolic hierarchy for one (geometry, pattern)
@@ -118,9 +154,10 @@ type mgCacheKey struct {
 // mgStructCacheMax bounds the process-wide symbolic cache. A placement flow
 // or a worker pool reuses one geometry, so a handful of entries covers the
 // working set, while each new interposer size or grid a long-lived service
-// sees would otherwise pin its hierarchy (~7 MB at grid 64, ~28 MB at grid
-// 128) forever. Evicting an entry only costs a rebuild on its next use; live
-// Multigrid instances keep their own reference.
+// sees would otherwise pin its hierarchy (~4 MB at grid 64, ~16 MB at grid
+// 128 on the eight-layer thermal stack) forever. Evicting an entry only costs
+// a rebuild on its next use; live Multigrid instances keep their own
+// reference.
 const mgStructCacheMax = 4
 
 // mgStructCache maps mgCacheKey to *mgStructure, evicting the oldest entry
@@ -175,53 +212,51 @@ func interp1D(f, nc int) (c0 int, w0 float64, c1 int, w1 float64) {
 	return c0, 0.75, c1, 0.25
 }
 
-// buildProlongation fills lev (the coarse level) with the bilinear P between
-// it and a fine plane of nxF×nyF cells over layers planes, plus its transpose.
-func buildProlongation(lev *mgLevel, layers, nxF, nyF int) {
+// buildProlongation fills lev (the coarse level) with the per-column bilinear
+// P between it and a fine plane of nxF×nyF cells, plus its transpose.
+func buildProlongation(lev *mgLevel, nxF, nyF int) {
 	nxC, nyC := lev.nx, lev.ny
-	fineN := layers * nxF * nyF
-	lev.pPtr = make([]int32, fineN+1)
-	lev.pCol = make([]int32, 0, 4*fineN)
-	lev.pW = make([]float64, 0, 4*fineN)
-	for l := 0; l < layers; l++ {
-		for i := 0; i < nyF; i++ {
-			ic0, wi0, ic1, wi1 := interp1D(i, nyC)
-			for j := 0; j < nxF; j++ {
-				jc0, wj0, jc1, wj1 := interp1D(j, nxC)
-				f := (l*nyF+i)*nxF + j
-				add := func(ic, jc int, w float64) {
-					lev.pCol = append(lev.pCol, int32((l*nyC+ic)*nxC+jc))
-					lev.pW = append(lev.pW, w)
-				}
-				add(ic0, jc0, wi0*wj0)
-				if jc1 >= 0 {
-					add(ic0, jc1, wi0*wj1)
-				}
-				if ic1 >= 0 {
-					add(ic1, jc0, wi1*wj0)
-					if jc1 >= 0 {
-						add(ic1, jc1, wi1*wj1)
-					}
-				}
-				lev.pPtr[f+1] = int32(len(lev.pCol))
+	nF := nxF * nyF
+	lev.pPtr = make([]int32, nF+1)
+	lev.pCol = make([]int32, 0, 4*nF)
+	lev.pW = make([]float64, 0, 4*nF)
+	for i := 0; i < nyF; i++ {
+		ic0, wi0, ic1, wi1 := interp1D(i, nyC)
+		for j := 0; j < nxF; j++ {
+			jc0, wj0, jc1, wj1 := interp1D(j, nxC)
+			add := func(ic, jc int, w float64) {
+				lev.pCol = append(lev.pCol, int32(ic*nxC+jc))
+				lev.pW = append(lev.pW, w)
 			}
+			add(ic0, jc0, wi0*wj0)
+			if jc1 >= 0 {
+				add(ic0, jc1, wi0*wj1)
+			}
+			if ic1 >= 0 {
+				add(ic1, jc0, wi1*wj0)
+				if jc1 >= 0 {
+					add(ic1, jc1, wi1*wj1)
+				}
+			}
+			lev.pPtr[i*nxF+j+1] = int32(len(lev.pCol))
 		}
 	}
 
-	// Transpose for restriction: coarse rows over fine columns, fine indices
-	// ascending within each row (they are appended in fine order).
-	count := make([]int32, lev.n+1)
+	// Transpose for restriction: coarse columns over fine columns, fine
+	// columns ascending within each list (they are appended in fine order).
+	nC := nxC * nyC
+	count := make([]int32, nC+1)
 	for _, c := range lev.pCol {
 		count[c+1]++
 	}
-	for i := 0; i < lev.n; i++ {
+	for i := 0; i < nC; i++ {
 		count[i+1] += count[i]
 	}
 	lev.ptPtr = append([]int32(nil), count...)
 	lev.ptCol = make([]int32, len(lev.pCol))
 	lev.ptW = make([]float64, len(lev.pW))
-	next := append([]int32(nil), count[:lev.n]...)
-	for f := 0; f < fineN; f++ {
+	next := append([]int32(nil), count[:nC]...)
+	for f := 0; f < nF; f++ {
 		for k := lev.pPtr[f]; k < lev.pPtr[f+1]; k++ {
 			c := lev.pCol[k]
 			p := next[c]
@@ -232,25 +267,29 @@ func buildProlongation(lev *mgLevel, layers, nxF, nyF int) {
 	}
 }
 
-// buildCoarsePattern computes the Galerkin sparsity pattern of lev from the
-// fine pattern (fineRowPtr/fineCol) and lev's interpolation: row I of A_c
-// couples every coarse pair reachable through Pᵀ·A·P.
-func buildCoarsePattern(lev *mgLevel, fineRowPtr, fineCol []int32) {
-	lev.rowPtr = make([]int32, lev.n+1)
+// coarsePattern computes the Galerkin sparsity pattern of lev, in layer-major
+// numbering, from the line-major pattern of the next finer level and lev's
+// interpolation: row I of A_c couples every coarse pair reachable through
+// Pᵀ·A·P, in ascending order.
+func coarsePattern(lev, fine *mgLevel) (rowPtr, cols []int32) {
+	nxyC := lev.nx * lev.ny
+	layers := uint32(fine.layers)
+	rowPtr = make([]int32, lev.n+1)
 	marker := make([]int32, lev.n)
 	for i := range marker {
 		marker[i] = -1
 	}
-	cols := make([]int32, 0, 27*lev.n)
+	cols = make([]int32, 0, 27*lev.n)
 	for I := 0; I < lev.n; I++ {
+		P, C := I/nxyC, I%nxyC
 		start := len(cols)
-		for q := lev.ptPtr[I]; q < lev.ptPtr[I+1]; q++ {
-			fi := lev.ptCol[q]
-			for k := fineRowPtr[fi]; k < fineRowPtr[fi+1]; k++ {
-				fj := fineCol[k]
-				for p := lev.pPtr[fj]; p < lev.pPtr[fj+1]; p++ {
-					J := lev.pCol[p]
-					if marker[J] != int32(I) {
+		for q := lev.ptPtr[C]; q < lev.ptPtr[C+1]; q++ {
+			fi := fine.row(P, int(lev.ptCol[q]))
+			for _, fj := range fine.col[fine.rowPtr[fi]:fine.rowPtr[fi+1]] {
+				pj, cj := uint32(fj)%layers, uint32(fj)/layers
+				base := int32(int(pj) * nxyC)
+				for _, Cq := range lev.pCol[lev.pPtr[cj]:lev.pPtr[cj+1]] {
+					if J := base + Cq; marker[J] != int32(I) {
 						marker[J] = int32(I)
 						cols = append(cols, J)
 					}
@@ -258,46 +297,49 @@ func buildCoarsePattern(lev *mgLevel, fineRowPtr, fineCol []int32) {
 			}
 		}
 		slices.Sort(cols[start:])
-		lev.rowPtr[I+1] = int32(len(cols))
+		rowPtr[I+1] = int32(len(cols))
 	}
-	lev.col = cols
+	return rowPtr, cols
 }
 
-// findDiagSlots records, per row, the value-slot index of the diagonal entry
-// (-1 when a row stores none, which a conductance matrix never does).
-func findDiagSlots(n int, rowPtr, col []int32) []int32 {
-	slots := make([]int32, n)
-	for i := 0; i < n; i++ {
-		slots[i] = -1
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			if int(col[k]) == i {
-				slots[i] = k
-				break
-			}
+// setPattern stores the layer-major pattern (rowPtr, col) in lev's numbering,
+// each row keeping its entry order, and records every row's diagonal and
+// vertical-coupling slots.
+func (lev *mgLevel) setPattern(rowPtr, col []int32) {
+	nxy := lev.nx * lev.ny
+	perm := make([]int32, lev.n) // layer-major row → lev's row
+	for p := 0; p < lev.layers; p++ {
+		for c := 0; c < nxy; c++ {
+			perm[p*nxy+c] = int32(lev.row(p, c))
 		}
 	}
-	return slots
-}
-
-// findVertSlots records, per row, the value-slot indices of the vertical
-// couplings to the same in-plane position one layer up (row+nxy) and one
-// layer down (row-nxy), -1 when the row has none (top/bottom layer, or a
-// pattern without that coupling).
-func findVertSlots(n, nxy int, rowPtr, col []int32) (up, dn []int32) {
-	up = make([]int32, n)
-	dn = make([]int32, n)
-	for i := 0; i < n; i++ {
-		up[i], dn[i] = -1, -1
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			switch int(col[k]) {
-			case i + nxy:
-				up[i] = k
-			case i - nxy:
-				dn[i] = k
+	lev.rowPtr = make([]int32, lev.n+1)
+	for li, i := range perm {
+		lev.rowPtr[i+1] = rowPtr[li+1] - rowPtr[li]
+	}
+	for i := 0; i < lev.n; i++ {
+		lev.rowPtr[i+1] += lev.rowPtr[i]
+	}
+	lev.col = make([]int32, len(col))
+	lev.diagSlot = make([]int32, lev.n)
+	lev.upSlot = make([]int32, lev.n)
+	lev.dnSlot = make([]int32, lev.n)
+	for li, i := range perm {
+		lev.diagSlot[i], lev.upSlot[i], lev.dnSlot[i] = -1, -1, -1
+		k := lev.rowPtr[i]
+		for _, lj := range col[rowPtr[li]:rowPtr[li+1]] {
+			lev.col[k] = perm[lj]
+			switch int(lj) {
+			case li:
+				lev.diagSlot[i] = k
+			case li + nxy:
+				lev.upSlot[i] = k
+			case li - nxy:
+				lev.dnSlot[i] = k
 			}
+			k++
 		}
 	}
-	return up, dn
 }
 
 // mgStructureFor returns the shared symbolic hierarchy for (a, geo), building
@@ -324,41 +366,40 @@ func mgStructureFor(a *CSR, geo GridGeometry) *mgStructure {
 	return s
 }
 
-// buildMGStructure coarsens (a, geo) into a symbolic hierarchy.
+// buildMGStructure coarsens (a, geo) into a symbolic hierarchy. Each level's
+// pattern is formed in layer-major numbering, which fixes its entry order,
+// and then stored in the level's own numbering.
 func buildMGStructure(a *CSR, geo GridGeometry) *mgStructure {
 	s := &mgStructure{geo: geo}
-	fine := &mgLevel{nx: geo.Nx, ny: geo.Ny, n: geo.Nodes()}
-	fine.diagSlot = findDiagSlots(fine.n, a.RowPtr, a.Col)
-	fine.upSlot, fine.dnSlot = findVertSlots(fine.n, geo.Nx*geo.Ny, a.RowPtr, a.Col)
-	s.levels = append(s.levels, fine)
-	rowPtr, col := a.RowPtr, a.Col
 	nx, ny := geo.Nx, geo.Ny
-	for canCoarsen(nx, ny) {
-		nxC, nyC := nx/2, ny/2
-		lev := &mgLevel{nx: nxC, ny: nyC, n: geo.Layers * nxC * nyC}
-		buildProlongation(lev, geo.Layers, nx, ny)
-		buildCoarsePattern(lev, rowPtr, col)
-		lev.diagSlot = findDiagSlots(lev.n, lev.rowPtr, lev.col)
-		lev.upSlot, lev.dnSlot = findVertSlots(lev.n, nxC*nyC, lev.rowPtr, lev.col)
-		s.levels = append(s.levels, lev)
-		if lev.n > s.maxCoarseN {
-			s.maxCoarseN = lev.n
+	var fine *mgLevel
+	for {
+		lev := &mgLevel{nx: nx, ny: ny, n: geo.Layers * nx * ny, layers: geo.Layers, line: canCoarsen(nx, ny)}
+		rowPtr, col := a.RowPtr, a.Col
+		if fine != nil {
+			buildProlongation(lev, fine.nx, fine.ny)
+			rowPtr, col = coarsePattern(lev, fine)
+			s.maxCoarseN = max(s.maxCoarseN, lev.n)
 		}
-		rowPtr, col = lev.rowPtr, lev.col
-		nx, ny = nxC, nyC
+		lev.setPattern(rowPtr, col)
+		s.levels = append(s.levels, lev)
+		if !lev.line {
+			return s
+		}
+		fine = lev
+		nx, ny = nx/2, ny/2
 	}
-	return s
 }
 
-// mgLevelData is the per-instance numeric state of one level: the operator
-// (level 0 snapshots the bound fine matrix's values at Refresh; coarser
-// levels own Galerkin values over the shared pattern), the line smoother's
+// mgLevelData is the per-instance numeric state of one level, in the level's
+// numbering: the operator (level 0 snapshots the bound fine matrix's values
+// at Refresh; coarser levels own Galerkin values), the line smoother's
 // per-column tridiagonal LDLᵀ factors (lfac holds the unit-lower multiplier
 // of each row toward the layer below, dinv the inverse pivots), the inverse
 // point diagonal for the coarsest-level GS fallback (coarsest level only),
 // the rows the current Refresh recomputes, and V-cycle scratch: r and z for
-// the restricted defect and its correction (levels ≥ 1; level 0 works in the
-// caller's vectors), t for the residual (every level but the coarsest).
+// the level's defect and correction (level 0 holds the permuted r and z of
+// Apply), t for the residual (every level but the coarsest).
 type mgLevelData struct {
 	a          *CSR
 	invD       []float64
@@ -385,7 +426,7 @@ type Multigrid struct {
 	lv   []mgLevelData
 	chol []float64 // dense Cholesky factor of the coarsest level, nil → GS fallback
 	ws   []float64 // Galerkin scatter workspace, maxCoarseN long
-	line []float64 // line-smoother block scratch, Layers long
+	line []float64 // one column's values, Layers long: line-solve and transfer scratch
 
 	// needFull makes the next Refresh recompute every row: set for a fresh
 	// instance and by a failed Refresh, whose partial updates the row marks
@@ -418,21 +459,16 @@ func NewMultigrid(a *CSR, geo GridGeometry) (*Multigrid, error) {
 	}
 	last := len(s.levels) - 1
 	for l, lev := range s.levels {
+		// Level 0 snapshots the bound matrix's values rather than aliasing
+		// them: Refresh copies them in, so in-place updates to the bound
+		// matrix between refreshes leave the whole hierarchy consistently
+		// stale. Mixing live level-0 values with stale coarse operators and
+		// smoother factors can lose positive definiteness. The snapshot is
+		// also what Refresh diffs against to find the rows that changed.
 		d := &mg.lv[l]
-		if l == 0 {
-			// Level 0 snapshots the bound matrix's values (sharing its
-			// pattern) rather than aliasing them: Refresh copies them in, so
-			// in-place updates to the bound matrix between refreshes leave
-			// the whole hierarchy consistently stale. Mixing live level-0
-			// values with stale coarse operators and smoother diagonals can
-			// lose positive definiteness. The snapshot is also what Refresh
-			// diffs against to find the rows that changed.
-			d.a = &CSR{N: a.N, RowPtr: a.RowPtr, Col: a.Col, Val: make([]float64, len(a.Val))}
-		} else {
-			d.a = &CSR{N: lev.n, RowPtr: lev.rowPtr, Col: lev.col, Val: make([]float64, len(lev.col))}
-			d.r = make([]float64, lev.n)
-			d.z = make([]float64, lev.n)
-		}
+		d.a = &CSR{N: lev.n, RowPtr: lev.rowPtr, Col: lev.col, Val: make([]float64, len(lev.col))}
+		d.r = make([]float64, lev.n)
+		d.z = make([]float64, lev.n)
 		if l == last {
 			d.invD = make([]float64, lev.n)
 		} else {
@@ -484,10 +520,9 @@ func (mg *Multigrid) Refresh() error {
 	mg.markFine(full)
 	for l := 1; l < len(mg.lv); l++ {
 		mg.markParents(l)
-		lev, d := mg.s.levels[l], &mg.lv[l]
-		for I, dirty := range d.dirty {
+		for I, dirty := range mg.lv[l].dirty {
 			if dirty {
-				mg.galerkinRow(lev, mg.lv[l-1].a, d.a, I)
+				mg.galerkinRow(l, I)
 			}
 		}
 	}
@@ -511,31 +546,39 @@ func (mg *Multigrid) Refresh() error {
 
 // markFine marks the fine rows whose bound values differ from the level-0
 // snapshot (every row when full) and copies those rows into the snapshot.
+// Bound row p·nx·ny + c is snapshot row lev.row(p, c), with its entries in
+// the same order.
 func (mg *Multigrid) markFine(full bool) {
+	lev := mg.s.levels[0]
 	snap, live, dirty := mg.lv[0].a.Val, mg.a.Val, mg.lv[0].dirty
-	rowPtr := mg.a.RowPtr
-	for i := range dirty {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		changed := full
-		for k := lo; k < hi && !changed; k++ {
-			changed = math.Float64bits(snap[k]) != math.Float64bits(live[k])
+	nxy := lev.nx * lev.ny
+	for p := 0; p < lev.layers; p++ {
+		for c := 0; c < nxy; c++ {
+			li, i := p*nxy+c, lev.row(p, c)
+			lo, hi := mg.a.RowPtr[li], mg.a.RowPtr[li+1]
+			row := snap[lev.rowPtr[i]:][:hi-lo]
+			changed := full
+			for k := lo; k < hi && !changed; k++ {
+				changed = math.Float64bits(row[k-lo]) != math.Float64bits(live[k])
+			}
+			if changed {
+				copy(row, live[lo:hi])
+			}
+			dirty[i] = changed
 		}
-		if changed {
-			copy(snap[lo:hi], live[lo:hi])
-		}
-		dirty[i] = changed
 	}
 }
 
 // markParents marks the rows of level l that have a marked child on level
 // l-1: exactly the Galerkin rows whose inputs changed.
 func (mg *Multigrid) markParents(l int) {
-	lev, dirty := mg.s.levels[l], mg.lv[l].dirty
+	lev, fine, dirty := mg.s.levels[l], mg.s.levels[l-1], mg.lv[l].dirty
 	clear(dirty)
 	for f, changed := range mg.lv[l-1].dirty {
 		if changed {
-			for p := lev.pPtr[f]; p < lev.pPtr[f+1]; p++ {
-				dirty[lev.pCol[p]] = true
+			p, c := fine.pos(f)
+			for q := lev.pPtr[c]; q < lev.pPtr[c+1]; q++ {
+				dirty[lev.row(p, int(lev.pCol[q]))] = true
 			}
 		}
 	}
@@ -555,7 +598,8 @@ func (mg *Multigrid) refreshSmoother(l int) error {
 			v = d.a.Val[slot]
 		}
 		if v <= 0 {
-			return fmt.Errorf("sparse: multigrid level %d has non-positive diagonal %g at row %d; matrix not SPD", l, v, i)
+			p, c := lev.pos(i)
+			return fmt.Errorf("sparse: multigrid level %d has non-positive diagonal %g at layer %d column %d; matrix not SPD", l, v, p, c)
 		}
 		if d.invD != nil {
 			d.invD[i] = 1 / v
@@ -566,30 +610,28 @@ func (mg *Multigrid) refreshSmoother(l int) error {
 	// principal submatrices of an SPD operator, so positive pivots are
 	// guaranteed in exact arithmetic; a non-positive one means the operator
 	// itself lost definiteness. A block reads only its own column's rows.
-	nxy := lev.nx * lev.ny
-	layers := mg.s.geo.Layers
-	for c := 0; c < nxy; c++ {
+	for c := 0; c < lev.nx*lev.ny; c++ {
 		changed := false
-		for p := 0; p < layers && !changed; p++ {
-			changed = d.dirty[p*nxy+c]
+		for p := 0; p < lev.layers && !changed; p++ {
+			changed = d.dirty[lev.row(p, c)]
 		}
 		if !changed {
 			continue
 		}
 		prev := 0.0
-		for p := 0; p < layers; p++ {
-			i := p*nxy + c
+		for p := 0; p < lev.layers; p++ {
+			i := lev.row(p, c)
 			piv := d.a.Val[lev.diagSlot[i]]
 			d.lfac[i] = 0
 			if p > 0 {
-				if s := lev.upSlot[i-nxy]; s >= 0 {
+				if s := lev.upSlot[lev.row(p-1, c)]; s >= 0 {
 					m := d.a.Val[s] * prev
 					d.lfac[i] = m
 					piv -= m * d.a.Val[s]
 				}
 			}
 			if piv <= 0 {
-				return fmt.Errorf("sparse: multigrid level %d line pivot %g <= 0 at row %d; matrix not SPD", l, piv, i)
+				return fmt.Errorf("sparse: multigrid level %d line pivot %g <= 0 at layer %d column %d; matrix not SPD", l, piv, p, c)
 			}
 			prev = 1 / piv
 			d.dinv[i] = prev
@@ -598,22 +640,34 @@ func (mg *Multigrid) refreshSmoother(l int) error {
 	return nil
 }
 
-// galerkinRow recomputes row I of a coarse operator as (Pᵀ·A·P)[I,:] from
-// the fine operator and lev's interpolation: contributions are scattered into
-// a dense workspace through the fixed interpolation lists and gathered back
-// into the (superset-by-construction) pattern slots, which also re-zeroes the
-// workspace. Serial and in fixed order, hence deterministic, and independent
-// of every other row.
-func (mg *Multigrid) galerkinRow(lev *mgLevel, fine, coarse *CSR, I int) {
+// galerkinRow recomputes row I of level l's operator as (Pᵀ·A·P)[I,:] from
+// level l-1's operator and level l's interpolation: contributions are
+// scattered into a dense workspace through the fixed interpolation lists and
+// gathered back into the (superset-by-construction) pattern slots, which
+// also re-zeroes the workspace. Serial and in fixed order, hence
+// deterministic, and independent of every other row.
+func (mg *Multigrid) galerkinRow(l, I int) {
+	lev, fineLev := mg.s.levels[l], mg.s.levels[l-1]
+	fine, coarse := mg.lv[l-1].a, mg.lv[l].a
+	pPtr, pCol, pW := lev.pPtr, lev.pCol, lev.pW
 	ws := mg.ws
-	for q := lev.ptPtr[I]; q < lev.ptPtr[I+1]; q++ {
-		fi := int(lev.ptCol[q])
+	cs, ps := lev.row(0, 1), lev.row(1, 0)
+	layers := uint32(fineLev.layers) // the finer level is line-major
+	P, C := lev.pos(I)
+	for q := lev.ptPtr[C]; q < lev.ptPtr[C+1]; q++ {
+		fi := fineLev.row(P, int(lev.ptCol[q]))
 		wI := lev.ptW[q]
-		for k := fine.RowPtr[fi]; k < fine.RowPtr[fi+1]; k++ {
-			v := wI * fine.Val[k]
-			fj := int(fine.Col[k])
-			for p := lev.pPtr[fj]; p < lev.pPtr[fj+1]; p++ {
-				ws[lev.pCol[p]] += v * lev.pW[p]
+		lo, hi := fine.RowPtr[fi], fine.RowPtr[fi+1]
+		fcols, fvals := fine.Col[lo:hi], fine.Val[lo:hi]
+		fvals = fvals[:len(fcols)]
+		for k, fj := range fcols {
+			v := wI * fvals[k]
+			pj, cj := uint32(fj)%layers, uint32(fj)/layers
+			parents, w := pCol[pPtr[cj]:pPtr[cj+1]], pW[pPtr[cj]:]
+			w = w[:len(parents)]
+			base := int(pj) * ps
+			for m, Cq := range parents {
+				ws[base+int(Cq)*cs] += v * w[m]
 			}
 		}
 	}
@@ -624,10 +678,25 @@ func (mg *Multigrid) galerkinRow(lev *mgLevel, fine, coarse *CSR, I int) {
 	}
 }
 
-// Apply runs one V-cycle: z ≈ A⁻¹·r. It implements Preconditioner.
+// Apply runs one V-cycle: z ≈ A⁻¹·r. It implements Preconditioner. r and z
+// are in the bound matrix's layer-major numbering and are permuted into and
+// out of level 0's.
 func (mg *Multigrid) Apply(z, r []float64) {
 	mg.cycles++
-	mg.vcycle(0, z, r)
+	lev, d := mg.s.levels[0], &mg.lv[0]
+	nxy := lev.nx * lev.ny
+	cs, ps := lev.row(0, 1), lev.row(1, 0)
+	for p := 0; p < lev.layers; p++ {
+		for c := 0; c < nxy; c++ {
+			d.r[c*cs+p*ps] = r[p*nxy+c]
+		}
+	}
+	mg.vcycle(0, d.z, d.r)
+	for p := 0; p < lev.layers; p++ {
+		for c := 0; c < nxy; c++ {
+			z[p*nxy+c] = d.z[c*cs+p*ps]
+		}
+	}
 }
 
 func (mg *Multigrid) mulVec(d *mgLevelData, y, x []float64) {
@@ -653,82 +722,114 @@ func (mg *Multigrid) vcycle(l int, z, r []float64) {
 		}
 		return
 	}
-	for i := range z {
-		z[i] = 0
-	}
+	clear(z)
 	mg.lineSweep(l, z, r, false)
 	mg.mulVec(d, d.t, z)
 	for i := range d.t {
 		d.t[i] = r[i] - d.t[i]
 	}
 	nxt := &mg.lv[l+1]
-	lev := mg.s.levels[l+1]
-	for I := 0; I < nxt.a.N; I++ {
-		var s float64
-		for q := lev.ptPtr[I]; q < lev.ptPtr[I+1]; q++ {
-			s += lev.ptW[q] * d.t[lev.ptCol[q]]
-		}
-		nxt.r[I] = s
-	}
+	mg.restrict(l+1, nxt.r, d.t)
 	mg.vcycle(l+1, nxt.z, nxt.r)
-	zc := nxt.z
-	for f := 0; f < d.a.N; f++ {
-		var s float64
-		for p := lev.pPtr[f]; p < lev.pPtr[f+1]; p++ {
-			s += lev.pW[p] * zc[lev.pCol[p]]
-		}
-		z[f] += s
-	}
+	mg.prolongAdd(l+1, z, nxt.z)
 	mg.lineSweep(l, z, r, true)
 }
 
-// lineSweep performs one vertical-line block Gauss-Seidel sweep on level l,
-// updating z in place: columns are visited in in-plane order (reversed when
-// backward), and each column's block system — its exact tridiagonal, with all
-// off-column couplings moved to the right-hand side at their latest values —
-// is solved through the LDLᵀ factors prepared by Refresh. Serial and in fixed
-// order, hence deterministic; the backward sweep visits columns in exactly
-// the reverse order, making it the forward sweep's A-adjoint.
+// restrict computes level l's defect rc = Pᵀ·tf from the line-major level
+// l-1 defect tf, one coarse column at a time: each of the column's layers
+// sums its children in list order.
+func (mg *Multigrid) restrict(l int, rc, tf []float64) {
+	lev := mg.s.levels[l]
+	cs, ps := lev.row(0, 1), lev.row(1, 0)
+	acc := mg.line
+	for C := 0; C < lev.nx*lev.ny; C++ {
+		clear(acc)
+		for q := lev.ptPtr[C]; q < lev.ptPtr[C+1]; q++ {
+			w := lev.ptW[q]
+			src := tf[int(lev.ptCol[q])*lev.layers:][:len(acc)]
+			for p, v := range src {
+				acc[p] += w * v
+			}
+		}
+		for p, v := range acc {
+			rc[C*cs+p*ps] = v
+		}
+	}
+}
+
+// prolongAdd adds the prolonged level-l correction P·zc to the line-major
+// level l-1 vector zf, one fine column at a time.
+func (mg *Multigrid) prolongAdd(l int, zf, zc []float64) {
+	lev := mg.s.levels[l]
+	cs, ps := lev.row(0, 1), lev.row(1, 0)
+	acc := mg.line
+	for f := 0; f < len(lev.pPtr)-1; f++ {
+		clear(acc)
+		for q := lev.pPtr[f]; q < lev.pPtr[f+1]; q++ {
+			w, base := lev.pW[q], int(lev.pCol[q])*cs
+			for p := range acc {
+				acc[p] += w * zc[base+p*ps]
+			}
+		}
+		dst := zf[f*lev.layers:][:len(acc)]
+		for p, v := range acc {
+			dst[p] += v
+		}
+	}
+}
+
+// lineSweep performs one vertical-line block Gauss-Seidel sweep on the
+// line-major level l, updating z in place: columns are visited in in-plane
+// order (reversed when backward), and each column's block system — its exact
+// tridiagonal, with all off-column couplings moved to the right-hand side at
+// their latest values — is solved through the LDLᵀ factors prepared by
+// Refresh. Serial and in fixed order, hence deterministic; the backward sweep
+// visits columns in exactly the reverse order, making it the forward sweep's
+// A-adjoint.
 func (mg *Multigrid) lineSweep(l int, z, r []float64, backward bool) {
 	lev, d := mg.s.levels[l], &mg.lv[l]
 	a := d.a
-	nxy := lev.nx * lev.ny
-	layers := mg.s.geo.Layers
+	nxy, layers := lev.nx*lev.ny, lev.layers
 	t := mg.line
 	for bi := 0; bi < nxy; bi++ {
 		c := bi
 		if backward {
 			c = nxy - 1 - bi
 		}
+		base := c * layers
 		// Off-column residual: subtract the full row dot and add back the
 		// in-block terms the tridiagonal solve below accounts for exactly.
-		for p := 0; p < layers; p++ {
-			i := p*nxy + c
+		for p := range t {
+			i := base + p
+			lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+			cols := a.Col[lo:hi]
+			vals := a.Val[lo:hi]
+			vals = vals[:len(cols)]
 			acc := r[i]
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				acc -= a.Val[k] * z[a.Col[k]]
+			for k, j := range cols {
+				acc -= vals[k] * z[j]
 			}
 			acc += a.Val[lev.diagSlot[i]] * z[i]
 			if s := lev.dnSlot[i]; s >= 0 {
-				acc += a.Val[s] * z[i-nxy]
+				acc += a.Val[s] * z[i-1]
 			}
 			if s := lev.upSlot[i]; s >= 0 {
-				acc += a.Val[s] * z[i+nxy]
+				acc += a.Val[s] * z[i+1]
 			}
 			t[p] = acc
 		}
-		for p := 1; p < layers; p++ {
-			t[p] -= d.lfac[p*nxy+c] * t[p-1]
+		lfac := d.lfac[base:][:len(t)]
+		dinv := d.dinv[base:][:len(t)]
+		for p := 1; p < len(t); p++ {
+			t[p] -= lfac[p] * t[p-1]
 		}
-		for p := 0; p < layers; p++ {
-			t[p] *= d.dinv[p*nxy+c]
+		for p := range t {
+			t[p] *= dinv[p]
 		}
-		for p := layers - 2; p >= 0; p-- {
-			t[p] -= d.lfac[(p+1)*nxy+c] * t[p+1]
+		for p := len(t) - 2; p >= 0; p-- {
+			t[p] -= lfac[p+1] * t[p+1]
 		}
-		for p := 0; p < layers; p++ {
-			z[p*nxy+c] = t[p]
-		}
+		copy(z[base:], t)
 	}
 }
 

@@ -44,43 +44,45 @@ func TestMultigridLevels(t *testing.T) {
 // TestMultigridGalerkinConsistency: P reproduces constants, so the Galerkin
 // operator must satisfy A_c·1 = Pᵀ·(A·1) exactly up to rounding — the
 // boundary conductances of the fine operator reappear, restricted, on every
-// coarse level.
+// coarse level. Each level is checked in its own row numbering, with the
+// per-column transfer lists applied to every layer.
 func TestMultigridGalerkinConsistency(t *testing.T) {
-	a := grid3D(16, 3)
-	mg, err := NewMultigrid(a, stackGeo(16, 3))
+	const layers = 3
+	a := grid3D(16, layers)
+	mg, err := NewMultigrid(a, stackGeo(16, layers))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fineOnes := make([]float64, a.N)
-	for i := range fineOnes {
-		fineOnes[i] = 1
+	ones := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = 1
+		}
+		return v
 	}
 	fineRow := make([]float64, a.N)
-	a.MulVec(fineRow, fineOnes)
+	mg.lv[0].a.MulVec(fineRow, ones(a.N))
 	for l := 1; l < mg.Levels(); l++ {
-		lev := mg.s.levels[l]
-		ac := mg.lv[l].a
+		lev, fine := mg.s.levels[l], mg.s.levels[l-1]
 		// want = Pᵀ·fineRow restricted level by level.
 		want := make([]float64, lev.n)
-		for I := 0; I < lev.n; I++ {
-			var s float64
-			for q := lev.ptPtr[I]; q < lev.ptPtr[I+1]; q++ {
-				s += lev.ptW[q] * fineRow[lev.ptCol[q]]
+		for p := 0; p < layers; p++ {
+			for C := 0; C < lev.nx*lev.ny; C++ {
+				var s float64
+				for q := lev.ptPtr[C]; q < lev.ptPtr[C+1]; q++ {
+					s += lev.ptW[q] * fineRow[fine.row(p, int(lev.ptCol[q]))]
+				}
+				want[lev.row(p, C)] = s
 			}
-			want[I] = s
-		}
-		ones := make([]float64, lev.n)
-		for i := range ones {
-			ones[i] = 1
 		}
 		got := make([]float64, lev.n)
-		ac.MulVec(got, ones)
+		mg.lv[l].a.MulVec(got, ones(lev.n))
 		for i := range got {
 			if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
 				t.Fatalf("level %d: (A_c·1)[%d] = %g, want %g", l, i, got[i], want[i])
 			}
 		}
-		fineRow, fineOnes = want, ones
+		fineRow = want
 	}
 }
 
@@ -479,7 +481,12 @@ func TestMultigridRefreshAfterFailureIsFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slot := mg.s.levels[0].diagSlot[5*g+3]
+	row, slot := 5*g+3, -1
+	for k := a.RowPtr[row]; k < a.RowPtr[row+1]; k++ {
+		if int(a.Col[k]) == row {
+			slot = int(k)
+		}
+	}
 	orig := a.Val[slot]
 	a.Val[slot] = -orig
 	if err := mg.Refresh(); err == nil {
