@@ -16,24 +16,29 @@ import (
 // counters at any GOMAXPROCS. Both cases run multigrid-preconditioned CG on
 // hierarchies whose fine levels are large enough for the parallel products:
 // a reduced E1 at the paper grid, and one annealing flow of the E3 system at
-// grid 128.
+// grid 128. Observability only watches, so the reduced E1 must also print
+// the same with an observer attached.
 func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	old := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	e1 := func(o *tap25d.Observer) (string, error) {
+		cfg := Config{ThermalGrid: 64, Steps: 6, Runs: 2, CompactSteps: 2000, Seed: 1}
+		rep, err := RunOrchestrated("E1", cfg, Orchestration{Obs: o})
+		if err != nil {
+			return "", err
+		}
+		rep.Elapsed = 0
+		var buf bytes.Buffer
+		rep.Format(&buf)
+		return buf.String(), nil
+	}
+	outputs := map[string]string{}
 	for _, tc := range []struct {
 		name string
 		run  func() (string, error)
 	}{
-		{"E1 grid 64", func() (string, error) {
-			rep, err := Run("E1", Config{ThermalGrid: 64, Steps: 6, Runs: 2, CompactSteps: 2000, Seed: 1})
-			if err != nil {
-				return "", err
-			}
-			rep.Elapsed = 0
-			var buf bytes.Buffer
-			rep.Format(&buf)
-			return buf.String(), nil
-		}},
+		{"E1 grid 64", func() (string, error) { return e1(nil) }},
+		{"E1 grid 64 observed", func() (string, error) { return e1(tap25d.NewObserver()) }},
 		{"E3 system grid 128", func() (string, error) {
 			res, err := tap25d.Place(systems.CPUDRAM(), tap25d.Options{ThermalGrid: 128, Steps: 6, Runs: 1, CompactSteps: 2000, Seed: 1})
 			if err != nil {
@@ -56,5 +61,9 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			}
 		}
 		t.Logf("%s:\n%s", tc.name, want)
+		outputs[tc.name] = want
+	}
+	if on, off := outputs["E1 grid 64 observed"], outputs["E1 grid 64"]; on != off {
+		t.Errorf("E1 grid 64 with an observer:\n%s\nwant (no observer):\n%s", on, off)
 	}
 }

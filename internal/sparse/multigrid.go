@@ -51,9 +51,10 @@ import (
 // nx·ny apart. Apply permutes r in from, and z out to, the bound matrix's
 // layer-major numbering once per cycle. The coarsest level keeps the
 // layer-major numbering its dense factorization or GS fallback runs in.
-// Renumbering keeps every row's entries in ascending layer-major column
-// order and every transfer list in its order, so each floating-point
-// operation of the cycle happens in the same order in either numbering.
+// Each row's entries are in ascending column order, so a smoothed-level row
+// reads [earlier columns | own column | later columns] and each pass of the
+// cycle reads only the part it needs (forwardSweep, sweepDefect,
+// backwardSweep).
 //
 // The expensive symbolic work — interpolation weights, coarse sparsity
 // patterns — depends only on the grid geometry and the fine matrix pattern,
@@ -98,13 +99,18 @@ type mgLevel struct {
 	// layer-major (row p·nx·ny + c).
 	line bool
 
-	// Operator pattern in this level's numbering (level 0's is the bound
-	// matrix's, renumbered) and per-row entry slots: diagSlot, upSlot and
+	// Operator pattern in this level's numbering, rows in ascending column
+	// order (level 0's is the bound matrix's, renumbered; src maps its slots
+	// to the bound matrix's), and per-row entry slots: diagSlot, upSlot and
 	// dnSlot are the value-slot indices of a row's diagonal and of its
 	// couplings to the same column one layer up and one layer down (-1 when
-	// absent), the entries of the line smoother's tridiagonal blocks.
-	rowPtr, col              []int32
+	// absent), the line smoother's tridiagonal blocks. On line-major levels a
+	// row's own-column entries are slots [lEnd, uStart); skip reports one
+	// that skips a layer, which the line solve leaves on the right-hand side.
+	rowPtr, col, src         []int32
 	diagSlot, upSlot, dnSlot []int32
+	lEnd, uStart             []int32
+	skip                     bool
 
 	// Prolongation P from this (coarse) level to the next finer level, per
 	// in-plane column: fine column f's ≤4 coarse parent columns and bilinear
@@ -267,29 +273,29 @@ func buildProlongation(lev *mgLevel, nxF, nyF int) {
 	}
 }
 
-// coarsePattern computes the Galerkin sparsity pattern of lev, in layer-major
-// numbering, from the line-major pattern of the next finer level and lev's
+// coarsePattern sets lev's Galerkin sparsity pattern, in lev's numbering,
+// from the line-major pattern of the next finer level and lev's
 // interpolation: row I of A_c couples every coarse pair reachable through
 // Pᵀ·A·P, in ascending order.
-func coarsePattern(lev, fine *mgLevel) (rowPtr, cols []int32) {
-	nxyC := lev.nx * lev.ny
+func (lev *mgLevel) coarsePattern(fine *mgLevel) {
+	cs, ps := int32(lev.row(0, 1)), int32(lev.row(1, 0))
 	layers := uint32(fine.layers)
-	rowPtr = make([]int32, lev.n+1)
+	lev.rowPtr = make([]int32, lev.n+1)
 	marker := make([]int32, lev.n)
 	for i := range marker {
 		marker[i] = -1
 	}
-	cols = make([]int32, 0, 27*lev.n)
+	cols := make([]int32, 0, 27*lev.n)
 	for I := 0; I < lev.n; I++ {
-		P, C := I/nxyC, I%nxyC
+		P, C := lev.pos(I)
 		start := len(cols)
 		for q := lev.ptPtr[C]; q < lev.ptPtr[C+1]; q++ {
 			fi := fine.row(P, int(lev.ptCol[q]))
 			for _, fj := range fine.col[fine.rowPtr[fi]:fine.rowPtr[fi+1]] {
 				pj, cj := uint32(fj)%layers, uint32(fj)/layers
-				base := int32(int(pj) * nxyC)
+				base := int32(pj) * ps
 				for _, Cq := range lev.pCol[lev.pPtr[cj]:lev.pPtr[cj+1]] {
-					if J := base + Cq; marker[J] != int32(I) {
+					if J := base + Cq*cs; marker[J] != int32(I) {
 						marker[J] = int32(I)
 						cols = append(cols, J)
 					}
@@ -297,15 +303,15 @@ func coarsePattern(lev, fine *mgLevel) (rowPtr, cols []int32) {
 			}
 		}
 		slices.Sort(cols[start:])
-		rowPtr[I+1] = int32(len(cols))
+		lev.rowPtr[I+1] = int32(len(cols))
 	}
-	return rowPtr, cols
+	lev.col = cols
 }
 
-// setPattern stores the layer-major pattern (rowPtr, col) in lev's numbering,
-// each row keeping its entry order, and records every row's diagonal and
-// vertical-coupling slots.
-func (lev *mgLevel) setPattern(rowPtr, col []int32) {
+// finePattern sets level 0's pattern from the bound matrix a: a's rows
+// renumbered into lev's numbering and sorted into ascending column order,
+// with src recording each entry's slot in a.
+func (lev *mgLevel) finePattern(a *CSR) {
 	nxy := lev.nx * lev.ny
 	perm := make([]int32, lev.n) // layer-major row → lev's row
 	for p := 0; p < lev.layers; p++ {
@@ -315,29 +321,58 @@ func (lev *mgLevel) setPattern(rowPtr, col []int32) {
 	}
 	lev.rowPtr = make([]int32, lev.n+1)
 	for li, i := range perm {
-		lev.rowPtr[i+1] = rowPtr[li+1] - rowPtr[li]
+		lev.rowPtr[i+1] = a.RowPtr[li+1] - a.RowPtr[li]
 	}
 	for i := 0; i < lev.n; i++ {
 		lev.rowPtr[i+1] += lev.rowPtr[i]
 	}
-	lev.col = make([]int32, len(col))
+	lev.col = make([]int32, len(a.Col))
+	lev.src = make([]int32, len(a.Col))
+	for li, i := range perm {
+		lrow, cols := a.Col[a.RowPtr[li]:a.RowPtr[li+1]], lev.col[lev.rowPtr[i]:lev.rowPtr[i+1]]
+		for k, lj := range lrow {
+			cols[k] = perm[lj]
+		}
+		slices.Sort(cols)
+		for k, j := range cols {
+			s := slices.IndexFunc(lrow, func(lj int32) bool { return perm[lj] == j })
+			lev.src[lev.rowPtr[i]+int32(k)] = a.RowPtr[li] + int32(s)
+		}
+	}
+}
+
+// findSlots records every row's diagonal and vertical-coupling slots and,
+// on line-major levels, its own-column slots and whether any own-column
+// entry skips a layer.
+func (lev *mgLevel) findSlots() {
 	lev.diagSlot = make([]int32, lev.n)
 	lev.upSlot = make([]int32, lev.n)
 	lev.dnSlot = make([]int32, lev.n)
-	for li, i := range perm {
+	if lev.line {
+		lev.lEnd, lev.uStart = make([]int32, lev.n), make([]int32, lev.n)
+	}
+	ps := int32(lev.row(1, 0)) // row stride between layers
+	for i := range lev.diagSlot {
+		lo, cols := lev.rowPtr[i], lev.col[lev.rowPtr[i]:lev.rowPtr[i+1]]
+		p, c := lev.pos(i)
+		first, end := int32(lev.row(0, c)), int32(lev.row(lev.layers-1, c)+1) // own column, if line-major
 		lev.diagSlot[i], lev.upSlot[i], lev.dnSlot[i] = -1, -1, -1
-		k := lev.rowPtr[i]
-		for _, lj := range col[rowPtr[li]:rowPtr[li+1]] {
-			lev.col[k] = perm[lj]
-			switch int(lj) {
-			case li:
-				lev.diagSlot[i] = k
-			case li + nxy:
-				lev.upSlot[i] = k
-			case li - nxy:
-				lev.dnSlot[i] = k
+		for k, j := range cols {
+			switch d := j - int32(i); {
+			case d == 0:
+				lev.diagSlot[i] = lo + int32(k)
+			case d == ps && p+1 < lev.layers:
+				lev.upSlot[i] = lo + int32(k)
+			case d == -ps && p > 0:
+				lev.dnSlot[i] = lo + int32(k)
+			case lev.line && first <= j && j < end:
+				lev.skip = true
 			}
-			k++
+		}
+		if lev.line {
+			e, _ := slices.BinarySearch(cols, first)
+			u, _ := slices.BinarySearch(cols, end)
+			lev.lEnd[i], lev.uStart[i] = lo+int32(e), lo+int32(u)
 		}
 	}
 }
@@ -366,22 +401,22 @@ func mgStructureFor(a *CSR, geo GridGeometry) *mgStructure {
 	return s
 }
 
-// buildMGStructure coarsens (a, geo) into a symbolic hierarchy. Each level's
-// pattern is formed in layer-major numbering, which fixes its entry order,
-// and then stored in the level's own numbering.
+// buildMGStructure coarsens (a, geo) into a symbolic hierarchy, every level's
+// pattern in the level's own numbering.
 func buildMGStructure(a *CSR, geo GridGeometry) *mgStructure {
 	s := &mgStructure{geo: geo}
 	nx, ny := geo.Nx, geo.Ny
 	var fine *mgLevel
 	for {
 		lev := &mgLevel{nx: nx, ny: ny, n: geo.Layers * nx * ny, layers: geo.Layers, line: canCoarsen(nx, ny)}
-		rowPtr, col := a.RowPtr, a.Col
-		if fine != nil {
+		if fine == nil {
+			lev.finePattern(a)
+		} else {
 			buildProlongation(lev, fine.nx, fine.ny)
-			rowPtr, col = coarsePattern(lev, fine)
+			lev.coarsePattern(fine)
 			s.maxCoarseN = max(s.maxCoarseN, lev.n)
 		}
-		lev.setPattern(rowPtr, col)
+		lev.findSlots()
 		s.levels = append(s.levels, lev)
 		if !lev.line {
 			return s
@@ -405,7 +440,6 @@ type mgLevelData struct {
 	invD       []float64
 	lfac, dinv []float64
 	dirty      []bool
-	workers    int
 	r, z, t    []float64
 }
 
@@ -477,7 +511,6 @@ func NewMultigrid(a *CSR, geo GridGeometry) (*Multigrid, error) {
 		d.lfac = make([]float64, lev.n)
 		d.dinv = make([]float64, lev.n)
 		d.dirty = make([]bool, lev.n)
-		d.workers = parallelWorkers(lev.n)
 	}
 	if err := mg.Refresh(); err != nil {
 		return nil, err
@@ -495,6 +528,12 @@ func (mg *Multigrid) Cycles() int64 { return mg.cycles }
 // Setups returns the number of successful Refresh passes (including the
 // constructor's).
 func (mg *Multigrid) Setups() int64 { return mg.setups }
+
+// Operator returns level l's operator, on an (Nx>>l)×(Ny>>l) plane, as of
+// the last Refresh. Its rows are line-major (row c·Layers + p for layer p of
+// in-plane column c) on every level but the coarsest, which is layer-major.
+// The matrix is the hierarchy's own and must not be modified.
+func (mg *Multigrid) Operator(l int) *CSR { return mg.lv[l].a }
 
 // Refresh brings the numeric hierarchy up to date with the bound matrix's
 // current values. It recomputes only what a changed value can reach:
@@ -545,27 +584,24 @@ func (mg *Multigrid) Refresh() error {
 }
 
 // markFine marks the fine rows whose bound values differ from the level-0
-// snapshot (every row when full) and copies those rows into the snapshot.
-// Bound row p·nx·ny + c is snapshot row lev.row(p, c), with its entries in
-// the same order.
+// snapshot (every row when full) and copies those rows into the snapshot,
+// gathering each slot through the level-0 slot map.
 func (mg *Multigrid) markFine(full bool) {
 	lev := mg.s.levels[0]
 	snap, live, dirty := mg.lv[0].a.Val, mg.a.Val, mg.lv[0].dirty
-	nxy := lev.nx * lev.ny
-	for p := 0; p < lev.layers; p++ {
-		for c := 0; c < nxy; c++ {
-			li, i := p*nxy+c, lev.row(p, c)
-			lo, hi := mg.a.RowPtr[li], mg.a.RowPtr[li+1]
-			row := snap[lev.rowPtr[i]:][:hi-lo]
-			changed := full
-			for k := lo; k < hi && !changed; k++ {
-				changed = math.Float64bits(row[k-lo]) != math.Float64bits(live[k])
-			}
-			if changed {
-				copy(row, live[lo:hi])
-			}
-			dirty[i] = changed
+	for i := range dirty {
+		row, src := snap[lev.rowPtr[i]:lev.rowPtr[i+1]], lev.src[lev.rowPtr[i]:]
+		src = src[:len(row)]
+		changed := full
+		for k := 0; k < len(row) && !changed; k++ {
+			changed = math.Float64bits(row[k]) != math.Float64bits(live[src[k]])
 		}
+		if changed {
+			for k, j := range src {
+				row[k] = live[j]
+			}
+		}
+		dirty[i] = changed
 	}
 }
 
@@ -699,14 +735,6 @@ func (mg *Multigrid) Apply(z, r []float64) {
 	}
 }
 
-func (mg *Multigrid) mulVec(d *mgLevelData, y, x []float64) {
-	if d.workers > 1 {
-		d.a.MulVecParallel(y, x, d.workers)
-	} else {
-		d.a.MulVec(y, x)
-	}
-}
-
 // vcycle recurses one level: forward line-GS pre-smooth from a zero guess,
 // restricted-defect coarse correction, backward line-GS post-smooth. The
 // backward sweep is the A-adjoint of the forward one and R = Pᵀ, so the cycle
@@ -722,17 +750,13 @@ func (mg *Multigrid) vcycle(l int, z, r []float64) {
 		}
 		return
 	}
-	clear(z)
-	mg.lineSweep(l, z, r, false)
-	mg.mulVec(d, d.t, z)
-	for i := range d.t {
-		d.t[i] = r[i] - d.t[i]
-	}
+	mg.forwardSweep(l, z, r)
+	mg.sweepDefect(l, d.t, z)
 	nxt := &mg.lv[l+1]
 	mg.restrict(l+1, nxt.r, d.t)
 	mg.vcycle(l+1, nxt.z, nxt.r)
 	mg.prolongAdd(l+1, z, nxt.z)
-	mg.lineSweep(l, z, r, true)
+	mg.backwardSweep(l, z, r)
 }
 
 // restrict computes level l's defect rc = Pᵀ·tf from the line-major level
@@ -778,58 +802,93 @@ func (mg *Multigrid) prolongAdd(l int, zf, zc []float64) {
 	}
 }
 
-// lineSweep performs one vertical-line block Gauss-Seidel sweep on the
-// line-major level l, updating z in place: columns are visited in in-plane
-// order (reversed when backward), and each column's block system — its exact
-// tridiagonal, with all off-column couplings moved to the right-hand side at
-// their latest values — is solved through the LDLᵀ factors prepared by
-// Refresh. Serial and in fixed order, hence deterministic; the backward sweep
-// visits columns in exactly the reverse order, making it the forward sweep's
-// A-adjoint.
-func (mg *Multigrid) lineSweep(l int, z, r []float64, backward bool) {
+// forwardSweep is the pre-smooth: one vertical-line block Gauss-Seidel sweep
+// over the line-major level l from a zero guess, in in-plane column order,
+// solving each column's tridiagonal block (LDLᵀ factors from Refresh)
+// straight into z. Under a zero guess later columns and the column itself
+// contribute nothing, so a right-hand side reads only the couplings to
+// earlier columns and z needs no clearing.
+func (mg *Multigrid) forwardSweep(l int, z, r []float64) {
 	lev, d := mg.s.levels[l], &mg.lv[l]
 	a := d.a
-	nxy, layers := lev.nx*lev.ny, lev.layers
-	t := mg.line
-	for bi := 0; bi < nxy; bi++ {
-		c := bi
-		if backward {
-			c = nxy - 1 - bi
-		}
-		base := c * layers
-		// Off-column residual: subtract the full row dot and add back the
-		// in-block terms the tridiagonal solve below accounts for exactly.
+	for base := 0; base < len(z); base += lev.layers {
+		t := z[base:][:lev.layers]
 		for p := range t {
 			i := base + p
-			lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-			cols := a.Col[lo:hi]
-			vals := a.Val[lo:hi]
-			vals = vals[:len(cols)]
-			acc := r[i]
-			for k, j := range cols {
-				acc -= vals[k] * z[j]
-			}
-			acc += a.Val[lev.diagSlot[i]] * z[i]
-			if s := lev.dnSlot[i]; s >= 0 {
-				acc += a.Val[s] * z[i-1]
-			}
-			if s := lev.upSlot[i]; s >= 0 {
-				acc += a.Val[s] * z[i+1]
-			}
-			t[p] = acc
+			t[p] = subDot(r[i], a, a.RowPtr[i], lev.lEnd[i], z)
 		}
-		lfac := d.lfac[base:][:len(t)]
-		dinv := d.dinv[base:][:len(t)]
-		for p := 1; p < len(t); p++ {
-			t[p] -= lfac[p] * t[p-1]
-		}
+		d.solveLine(base, t)
+	}
+}
+
+// sweepDefect computes the defect t = r − A·z left by forwardSweep. Each
+// column's block has been solved exactly against its couplings to earlier
+// columns, so t = −U·z over the later-column couplings U, less the skip
+// entries' terms.
+func (mg *Multigrid) sweepDefect(l int, t, z []float64) {
+	lev, a := mg.s.levels[l], mg.lv[l].a
+	for i := range t {
+		t[i] = subDot(lev.subSkip(0, a, i, z), a, lev.uStart[i], a.RowPtr[i+1], z)
+	}
+}
+
+// backwardSweep is the post-smooth: the same sweep in exactly the reverse
+// column order, which makes it forwardSweep's A-adjoint, with right-hand
+// sides that read every coupling outside the block at its latest value.
+func (mg *Multigrid) backwardSweep(l int, z, r []float64) {
+	lev, d := mg.s.levels[l], &mg.lv[l]
+	a := d.a
+	t := mg.line
+	for base := len(z) - lev.layers; base >= 0; base -= lev.layers {
 		for p := range t {
-			t[p] *= dinv[p]
+			i := base + p
+			acc := lev.subSkip(subDot(r[i], a, a.RowPtr[i], lev.lEnd[i], z), a, i, z)
+			t[p] = subDot(acc, a, lev.uStart[i], a.RowPtr[i+1], z)
 		}
-		for p := len(t) - 2; p >= 0; p-- {
-			t[p] -= lfac[p+1] * t[p+1]
+		d.solveLine(base, t)
+		for p, v := range t {
+			z[base+p] = v
 		}
-		copy(z[base:], t)
+	}
+}
+
+// subDot returns acc − Σ a_k·x[col_k] over value slots [lo, hi) of a.
+func subDot(acc float64, a *CSR, lo, hi int32, x []float64) float64 {
+	cols := a.Col[lo:hi]
+	vals := a.Val[lo:hi]
+	vals = vals[:len(cols)]
+	for k, j := range cols {
+		acc -= vals[k] * x[j]
+	}
+	return acc
+}
+
+// subSkip returns acc minus row i's own-column couplings beyond the adjacent
+// layers (skip entries), at x's current values.
+func (lev *mgLevel) subSkip(acc float64, a *CSR, i int, x []float64) float64 {
+	if !lev.skip {
+		return acc
+	}
+	for k := lev.lEnd[i]; k < lev.uStart[i]; k++ {
+		if k != lev.diagSlot[i] && k != lev.upSlot[i] && k != lev.dnSlot[i] {
+			acc -= a.Val[k] * x[a.Col[k]]
+		}
+	}
+	return acc
+}
+
+// solveLine overwrites t with the solution of the tridiagonal block of the
+// column whose rows start at base.
+func (d *mgLevelData) solveLine(base int, t []float64) {
+	lfac := d.lfac[base:][:len(t)]
+	dinv := d.dinv[base:][:len(t)]
+	y := 0.0 // forward elimination, unscaled; lfac of a column's first row is 0
+	for p := range t {
+		y = t[p] - lfac[p]*y
+		t[p] = y * dinv[p]
+	}
+	for p := len(t) - 2; p >= 0; p-- {
+		t[p] -= lfac[p+1] * t[p+1]
 	}
 }
 

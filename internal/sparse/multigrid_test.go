@@ -559,3 +559,190 @@ func TestMultigridStructCacheBounded(t *testing.T) {
 		t.Fatalf("cache holds %d hierarchies, want %d", n, mgStructCacheMax)
 	}
 }
+
+// skipStack is grid3D(g, l) plus two couplings the thermal stacks place
+// elsewhere: a vertical coupling that leaves the column (layer z to z+1 one
+// cell over), and, in every third column, an in-column coupling from layer z
+// to z+2. The tridiagonal line solve leaves that layer skip on the
+// right-hand side.
+func skipStack(g, l int) *CSR {
+	b := NewBuilder(g * g * l)
+	id := func(z, i, j int) int { return z*g*g + i*g + j }
+	a := grid3D(g, l)
+	for i := 0; i < a.N; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			b.Add(i, int(a.Col[k]), a.Val[k])
+		}
+	}
+	for z := 0; z+1 < l; z++ {
+		for i := 0; i < g; i++ {
+			for j := 0; j < g; j++ {
+				if j+1 < g {
+					b.AddSym(id(z, i, j), id(z+1, i, j+1), 0.7)
+				}
+				if z+2 < l && (i+j)%3 == 0 {
+					b.AddSym(id(z, i, j), id(z+2, i, j), 2)
+				}
+			}
+		}
+	}
+	return b.Build()
+}
+
+// unsplitApply is the V-cycle as it ran before the split line smoother,
+// kept as a reference: every sweep subtracts each row's whole dot product
+// and adds its tridiagonal terms back, the pre-smooth starts from a cleared
+// z, and the defect after it is r − A·z through MulVec. It runs on mg's
+// hierarchy with vectors of its own, so it differs from mg.Apply only in
+// rounding.
+func unsplitApply(mg *Multigrid, z, r []float64) {
+	rs, zs := make([][]float64, len(mg.lv)), make([][]float64, len(mg.lv))
+	for l := range mg.lv {
+		rs[l], zs[l] = make([]float64, mg.lv[l].a.N), make([]float64, mg.lv[l].a.N)
+	}
+	lev0 := mg.s.levels[0]
+	nxy := lev0.nx * lev0.ny
+	for i := range r {
+		rs[0][lev0.row(i/nxy, i%nxy)] = r[i]
+	}
+	var cycle func(l int)
+	cycle = func(l int) {
+		d, z, r := &mg.lv[l], zs[l], rs[l]
+		if l == len(mg.lv)-1 {
+			if mg.chol != nil {
+				cholSolve(mg.chol, d.a.N, z, r)
+			} else {
+				mg.coarseGS(d, z, r)
+			}
+			return
+		}
+		clear(z)
+		unsplitSweep(mg, l, z, r, false)
+		t := make([]float64, len(z))
+		d.a.MulVec(t, z)
+		for i := range t {
+			t[i] = r[i] - t[i]
+		}
+		mg.restrict(l+1, rs[l+1], t)
+		cycle(l + 1)
+		mg.prolongAdd(l+1, z, zs[l+1])
+		unsplitSweep(mg, l, z, r, true)
+	}
+	cycle(0)
+	for i := range z {
+		z[i] = zs[0][lev0.row(i/nxy, i%nxy)]
+	}
+}
+
+func unsplitSweep(mg *Multigrid, l int, z, r []float64, backward bool) {
+	lev, d := mg.s.levels[l], &mg.lv[l]
+	a := d.a
+	t := make([]float64, lev.layers)
+	nxy := lev.nx * lev.ny
+	for bi := 0; bi < nxy; bi++ {
+		c := bi
+		if backward {
+			c = nxy - 1 - bi
+		}
+		base := c * lev.layers
+		for p := range t {
+			i := base + p
+			acc := r[i]
+			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+				acc -= a.Val[k] * z[a.Col[k]]
+			}
+			acc += a.Val[lev.diagSlot[i]] * z[i]
+			if s := lev.dnSlot[i]; s >= 0 {
+				acc += a.Val[s] * z[i-1]
+			}
+			if s := lev.upSlot[i]; s >= 0 {
+				acc += a.Val[s] * z[i+1]
+			}
+			t[p] = acc
+		}
+		d.solveLine(base, t)
+		copy(z[base:], t)
+	}
+}
+
+// TestMultigridSplitRowLayout: every smoothed level stores each row in
+// ascending column order, split as [earlier columns | own column | later
+// columns] at lEnd and uStart, with the tridiagonal entries inside the own
+// column; level 0's slot map points each entry at its bound-matrix slot; and
+// the V-cycle that reads only the parts each sweep needs matches the unsplit
+// reference. skipStack's layer-skip coupling is the one entry that sits in
+// the own column outside the tridiagonal block — the thermal stacks have
+// none — so it alone exercises that path of the defect and the post-smooth.
+func TestMultigridSplitRowLayout(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a    *CSR
+		skip bool
+	}{
+		{"grid3D", grid3D(16, 4), false},
+		{"layer-skip", skipStack(16, 4), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mg, err := NewMultigrid(tc.a, stackGeo(16, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l, lev := range mg.s.levels {
+				if !lev.line {
+					continue
+				}
+				if lev.skip != tc.skip {
+					t.Errorf("level %d: skip = %v, want %v", l, lev.skip, tc.skip)
+				}
+				for i := 0; i < lev.n; i++ {
+					lo, hi, e, u := lev.rowPtr[i], lev.rowPtr[i+1], lev.lEnd[i], lev.uStart[i]
+					first, end := int32(i-i%lev.layers), int32(i-i%lev.layers+lev.layers)
+					for k := lo; k < hi; k++ {
+						j := lev.col[k]
+						if k > lo && j <= lev.col[k-1] {
+							t.Fatalf("level %d row %d: columns not ascending at slot %d", l, i, k)
+						}
+						if (k < e) != (j < first) || (k >= u) != (j >= end) {
+							t.Fatalf("level %d row %d: slot %d (column %d) on the wrong side of [%d,%d)", l, i, k, j, e, u)
+						}
+					}
+					if d := lev.diagSlot[i]; !(e <= d && d < u) {
+						t.Fatalf("level %d row %d: diagonal slot %d outside [%d,%d)", l, i, d, e, u)
+					}
+					for _, s := range []int32{lev.upSlot[i], lev.dnSlot[i]} {
+						if s >= 0 && !(e <= s && s < u) {
+							t.Fatalf("level %d row %d: vertical slot %d outside [%d,%d)", l, i, s, e, u)
+						}
+					}
+				}
+			}
+			lev0, snap := mg.s.levels[0], mg.lv[0].a
+			nxy := lev0.nx * lev0.ny
+			for li := 0; li < tc.a.N; li++ {
+				i := lev0.row(li/nxy, li%nxy)
+				for k := lev0.rowPtr[i]; k < lev0.rowPtr[i+1]; k++ {
+					s := lev0.src[k]
+					if s < tc.a.RowPtr[li] || s >= tc.a.RowPtr[li+1] || snap.Val[k] != tc.a.Val[s] ||
+						lev0.col[k] != int32(lev0.row(int(tc.a.Col[s])/nxy, int(tc.a.Col[s])%nxy)) {
+						t.Fatalf("level-0 slot %d maps to bound slot %d, which is not its entry", k, s)
+					}
+				}
+			}
+			rng := rand.New(rand.NewSource(9))
+			r := make([]float64, tc.a.N)
+			for i := range r {
+				r[i] = rng.NormFloat64()
+			}
+			got, want := make([]float64, len(r)), make([]float64, len(r))
+			mg.Apply(got, r)
+			unsplitApply(mg, want, r)
+			var d, s float64
+			for i := range want {
+				d, s = math.Max(d, math.Abs(got[i]-want[i])), math.Max(s, math.Abs(want[i]))
+			}
+			if d > 1e-12*s {
+				t.Fatalf("V-cycle deviates from the unsplit reference by %.3g (relative)", d/s)
+			}
+		})
+	}
+}
