@@ -43,7 +43,8 @@ type Counters struct {
 	// initial guess).
 	CGRetries int64 `json:"cg_retries"`
 	// CGFallbackPrecond counts escalations to the multigrid-preconditioned
-	// CG fallback after a cold restart also failed to converge.
+	// CG fallback after a cold restart also failed to converge. Only
+	// Jacobi-path models (by default, grids below 64) take that rung.
 	CGFallbackPrecond int64 `json:"cg_fallback_precond"`
 	// StepEvalSkipped counts annealing steps abandoned after a transient
 	// evaluation failure (under Options.EvalFailureBudget) instead of

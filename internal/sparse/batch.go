@@ -17,13 +17,13 @@ import (
 // independent solves stream it B times per iteration while the blocked sweep
 // streams it once and applies every stored entry to all B iterates.
 // Best-of-N placement replicas and service workers evaluating the same model
-// share assembly and — when opt.Precond is set — one preconditioner
-// hierarchy across the batch.
+// share assembly and one preconditioner (opt.Precond, or the Jacobi
+// diagonal when that is nil) across the batch.
 //
 // Per column, the arithmetic reproduces CGSolver.SolveContext exactly: every
-// accumulator (row sums, dot products, the fused x/r/z update pass) sums in
-// the same order as the serial loops, so each batch solution and iteration
-// count is bit-identical to solving that column alone. Columns that converge
+// accumulator (row sums, dot products, the x/r update pass) sums in the same
+// order as the serial loops, so each batch solution and iteration count is
+// bit-identical to solving that column alone. Columns that converge
 // drop out of the sweep at exactly the serial iteration.
 //
 // xs[c] is the warm-start guess for column c and is overwritten in place
@@ -88,22 +88,16 @@ func SolveCGBatch(ctx context.Context, a *CSR, xs, bs [][]float64, opt CGOptions
 		maxIter = 10 * n
 	}
 
-	var invD []float64
-	if opt.Precond == nil {
-		invD = make([]float64, n)
-		for i := 0; i < n; i++ {
-			d := 0.0
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				if int(a.Col[k]) == i {
-					d = a.Val[k]
-					break
-				}
-			}
+	pre := opt.Precond
+	if pre == nil {
+		invD := a.Diag()
+		for i, d := range invD {
 			if d <= 0 {
 				return nil, fmt.Errorf("sparse: non-positive diagonal at row %d (%g); matrix not SPD", i, d)
 			}
 			invD[i] = 1 / d
 		}
+		pre = jacobi(invD)
 	}
 
 	cols := func() [][]float64 {
@@ -117,8 +111,7 @@ func SolveCGBatch(ctx context.Context, a *CSR, xs, bs [][]float64, opt CGOptions
 		a:       a,
 		n:       n,
 		m:       nrhs,
-		invD:    invD,
-		pre:     opt.Precond,
+		pre:     pre,
 		workers: parallelWorkers(n),
 		orig:    make([]int, nrhs),
 		x:       append([][]float64(nil), xs...), // headers only; columns update in place
@@ -151,7 +144,6 @@ type batchState struct {
 	a       *CSR
 	n       int
 	m       int // active column count, slots [0, m)
-	invD    []float64
 	pre     Preconditioner
 	workers int
 
@@ -328,36 +320,13 @@ func (b *batchState) run(ctx context.Context, bs [][]float64, tol float64, maxIt
 		return b.iters, nil
 	}
 
-	// z = M⁻¹·r, rz = r·z, p = z. The Jacobi path is embarrassingly
-	// per-column; a shared Preconditioner applies serially — instances like
-	// Multigrid smooth into shared scratch and are not concurrency-safe.
-	if b.pre != nil {
-		for c := 0; c < b.m; c++ {
-			rc, zc := b.r[c], b.z[c]
-			b.pre.Apply(zc, rc)
-			var rz float64
-			for i := 0; i < n; i++ {
-				rz += rc[i] * zc[i]
-			}
-			if rz <= 0 {
-				b.abort(0)
-				return b.iters, fmt.Errorf("sparse: r'M⁻¹r = %g <= 0; preconditioner not positive definite", rz)
-			}
-			b.rz[c] = rz
-			copy(b.p[c], zc)
-		}
-	} else {
-		b.forCols(func(c int) {
-			rc, zc, invD := b.r[c], b.z[c], b.invD
-			var rz float64
-			for i := 0; i < n; i++ {
-				zi := invD[i] * rc[i]
-				zc[i] = zi
-				rz += rc[i] * zi
-			}
-			b.rz[c] = rz
-			copy(b.p[c], zc)
-		})
+	// rz = r·M⁻¹r, p = z.
+	if err := b.precondition(0); err != nil {
+		return b.iters, err
+	}
+	for c := 0; c < b.m; c++ {
+		b.rz[c] = b.rzNew[c]
+		copy(b.p[c], b.z[c])
 	}
 
 	for it := 1; it <= maxIter; it++ {
@@ -369,9 +338,7 @@ func (b *batchState) run(ctx context.Context, bs [][]float64, tol float64, maxIt
 		}
 		// ap = A·p in one blocked sweep; then, per column: the p·Ap dot in
 		// row-ascending order (as in the serial mulVecDot), alpha, and the
-		// x/r update pass. On the Jacobi path the update also accumulates the
-		// next z and r·z fused, mirroring the serial solver's loop; on a
-		// converging column that extra work is simply discarded.
+		// x/r update pass.
 		b.mul(b.ap, b.p)
 		b.forCols(func(c int) {
 			pc, apc := b.p[c], b.ap[c]
@@ -386,26 +353,11 @@ func (b *batchState) run(ctx context.Context, bs [][]float64, tol float64, maxIt
 			al := b.rz[c] / pap
 			xc, rc := b.x[c], b.r[c]
 			var rnorm float64
-			if b.pre == nil {
-				zc, invD := b.z[c], b.invD
-				var rzNew float64
-				for i := 0; i < n; i++ {
-					xc[i] += al * pc[i]
-					ri := rc[i] - al*apc[i]
-					rc[i] = ri
-					rnorm += ri * ri
-					zi := invD[i] * ri
-					zc[i] = zi
-					rzNew += ri * zi
-				}
-				b.rzNew[c] = rzNew
-			} else {
-				for i := 0; i < n; i++ {
-					xc[i] += al * pc[i]
-					ri := rc[i] - al*apc[i]
-					rc[i] = ri
-					rnorm += ri * ri
-				}
+			for i := 0; i < n; i++ {
+				xc[i] += al * pc[i]
+				ri := rc[i] - al*apc[i]
+				rc[i] = ri
+				rnorm += ri * ri
 			}
 			b.rnorm[c] = rnorm
 		})
@@ -425,20 +377,8 @@ func (b *batchState) run(ctx context.Context, bs [][]float64, tol float64, maxIt
 		if b.m == 0 {
 			return b.iters, nil
 		}
-		if b.pre != nil {
-			for c := 0; c < b.m; c++ {
-				rc, zc := b.r[c], b.z[c]
-				b.pre.Apply(zc, rc)
-				var rzNew float64
-				for i := 0; i < n; i++ {
-					rzNew += rc[i] * zc[i]
-				}
-				if rzNew <= 0 {
-					b.abort(it)
-					return b.iters, fmt.Errorf("sparse: r'M⁻¹r = %g <= 0; preconditioner not positive definite", rzNew)
-				}
-				b.rzNew[c] = rzNew
-			}
+		if err := b.precondition(it); err != nil {
+			return b.iters, err
 		}
 		b.forCols(func(c int) {
 			beta := b.rzNew[c] / b.rz[c]
@@ -452,6 +392,27 @@ func (b *batchState) run(ctx context.Context, bs [][]float64, tol float64, maxIt
 	failed := b.m
 	b.abort(maxIter)
 	return b.iters, fmt.Errorf("sparse: %d of %d batch columns: %w", failed, len(b.iters), ErrNoConvergence)
+}
+
+// precondition sets z = M⁻¹·r and rzNew = r·z for every active column. The
+// shared preconditioner applies serially: instances like Multigrid smooth
+// into shared scratch and are not concurrency-safe. A non-positive r·z
+// aborts the batch at iteration it.
+func (b *batchState) precondition(it int) error {
+	for c := 0; c < b.m; c++ {
+		rc, zc := b.r[c], b.z[c]
+		b.pre.Apply(zc, rc)
+		var rz float64
+		for i := 0; i < b.n; i++ {
+			rz += rc[i] * zc[i]
+		}
+		if rz <= 0 {
+			b.abort(it)
+			return fmt.Errorf("sparse: r'M⁻¹r = %g <= 0; preconditioner not positive definite", rz)
+		}
+		b.rzNew[c] = rz
+	}
+	return nil
 }
 
 // abort records the iteration count for every still-active slot; the

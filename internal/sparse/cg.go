@@ -76,14 +76,15 @@ func (m *CSR) MulVecParallel(y, x []float64, workers int) {
 	wg.Wait()
 }
 
-// CGSolver is a reusable Jacobi-preconditioned conjugate-gradient solver
-// bound to one matrix. It exists because the placer's inner loop calls the
-// solver thousands of times on a matrix whose pattern never changes: the
-// solver allocates its scratch vectors (residual, preconditioned residual,
-// search direction, A·p product, inverse diagonal) once, and locates the
-// diagonal value slots once, instead of re-deriving all of them on every
-// SolveCG call. Values of the bound matrix may change freely between Solve
-// calls (the diagonal is re-read each time); the pattern must not.
+// CGSolver is a reusable preconditioned conjugate-gradient solver bound to
+// one matrix; the preconditioner is opt.Precond, or Jacobi when that is nil.
+// It exists because the placer's inner loop calls the solver thousands of
+// times on a matrix whose pattern never changes: the solver allocates its
+// scratch vectors (residual, preconditioned residual, search direction, A·p
+// product, inverse diagonal) once, and locates the diagonal value slots
+// once, instead of re-deriving all of them on every SolveCG call. Values of
+// the bound matrix may change freely between Solve calls (the Jacobi
+// diagonal is re-read each time); the pattern must not.
 //
 // A CGSolver is not safe for concurrent use.
 type CGSolver struct {
@@ -227,31 +228,25 @@ func (s *CGSolver) SolveContext(ctx context.Context, x, b []float64, opt CGOptio
 		maxIter = 10 * n
 	}
 
-	// A caller-supplied preconditioner takes a separate code path: the default
-	// Jacobi application is fused into the x/r update loop below, and keeping
-	// that loop untouched keeps the nil-Precond path bit-identical to every
-	// solve performed before the hook existed.
-	if opt.Precond != nil {
-		return s.solvePrecond(ctx, x, b, opt, tol, maxIter)
-	}
-
-	// Refresh the Jacobi preconditioner from the (possibly updated) diagonal:
-	// O(N) via the precomputed slots instead of an O(nnz) scan.
-	invD := s.invD
-	for i, slot := range s.diagSlot {
-		d := 0.0
-		if slot >= 0 {
-			d = a.Val[slot]
+	pre := opt.Precond
+	if pre == nil {
+		// Refresh the Jacobi preconditioner from the (possibly updated)
+		// diagonal: O(N) via the precomputed slots instead of an O(nnz) scan.
+		for i, slot := range s.diagSlot {
+			d := 0.0
+			if slot >= 0 {
+				d = a.Val[slot]
+			}
+			if d <= 0 {
+				return 0, fmt.Errorf("sparse: non-positive diagonal at row %d (%g); matrix not SPD", i, d)
+			}
+			s.invD[i] = 1 / d
 		}
-		if d <= 0 {
-			return 0, fmt.Errorf("sparse: non-positive diagonal at row %d (%g); matrix not SPD", i, d)
-		}
-		invD[i] = 1 / d
+		pre = jacobi(s.invD)
 	}
 
 	x, b = x[:n], b[:n]
 	r, z, p, ap := s.r[:n], s.z[:n], s.p[:n], s.ap[:n]
-	invD = invD[:n]
 
 	s.mulVec(r, x)
 	var bnorm, rnorm0 float64
@@ -272,88 +267,6 @@ func (s *CGSolver) SolveContext(ctx context.Context, x, b []float64, opt CGOptio
 	}
 	if math.Sqrt(rnorm0) <= tol*bnorm {
 		return 0, nil // warm start already converged
-	}
-
-	var rz float64
-	for i := range z {
-		z[i] = invD[i] * r[i]
-		rz += r[i] * z[i]
-	}
-	copy(p, z)
-
-	for it := 1; it <= maxIter; it++ {
-		if it%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return it, fmt.Errorf("sparse: CG canceled after %d iterations: %w", it-1, err)
-			}
-		}
-		pap := s.mulVecDot(ap, p, p)
-		if pap <= 0 {
-			return it, fmt.Errorf("sparse: p'Ap = %g <= 0; matrix not SPD", pap)
-		}
-		alpha := rz / pap
-		// One fused pass updates x and r and accumulates both rnorm and the
-		// next r·z. Each accumulator still sums in ascending index order, so
-		// the values match the unfused two-pass form bit for bit; on the
-		// converging iteration the z/rzNew work is computed and discarded.
-		var rnorm, rzNew float64
-		for i := range x {
-			x[i] += alpha * p[i]
-			ri := r[i] - alpha*ap[i]
-			r[i] = ri
-			rnorm += ri * ri
-			zi := invD[i] * ri
-			z[i] = zi
-			rzNew += ri * zi
-		}
-		res := math.Sqrt(rnorm)
-		if opt.OnIteration != nil {
-			opt.OnIteration(it, res)
-		}
-		if res <= tol*bnorm {
-			return it, nil
-		}
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-	}
-	return maxIter, ErrNoConvergence
-}
-
-// solvePrecond is the conjugate-gradient loop with a caller-supplied
-// preconditioner M (opt.Precond): z = M⁻¹r is obtained by Apply instead of
-// the fused Jacobi scaling. The structure mirrors SolveContext — same
-// residual bookkeeping, same convergence test, same cancellation cadence —
-// but the preconditioner application is necessarily a separate pass, so
-// iterates are not expected to match the Jacobi path bit for bit (they solve
-// the same system to the same tolerance by a different Krylov trajectory).
-func (s *CGSolver) solvePrecond(ctx context.Context, x, b []float64, opt CGOptions, tol float64, maxIter int) (int, error) {
-	n := s.a.N
-	pre := opt.Precond
-	x, b = x[:n], b[:n]
-	r, z, p, ap := s.r[:n], s.z[:n], s.p[:n], s.ap[:n]
-
-	s.mulVec(r, x)
-	var bnorm, rnorm0 float64
-	for i := range r {
-		r[i] = b[i] - r[i]
-		bnorm += b[i] * b[i]
-		rnorm0 += r[i] * r[i]
-	}
-	bnorm = math.Sqrt(bnorm)
-	if opt.OnIteration != nil {
-		opt.OnIteration(0, math.Sqrt(rnorm0))
-	}
-	if bnorm == 0 {
-		for i := range x {
-			x[i] = 0
-		}
-		return 0, nil
-	}
-	if math.Sqrt(rnorm0) <= tol*bnorm {
-		return 0, nil
 	}
 
 	pre.Apply(z, r)
@@ -406,4 +319,15 @@ func (s *CGSolver) solvePrecond(ctx context.Context, x, b []float64, opt CGOptio
 		}
 	}
 	return maxIter, ErrNoConvergence
+}
+
+// jacobi is the default preconditioner, M = diag(A): z = D⁻¹·r, one scaling
+// per row from the stored inverse diagonal.
+type jacobi []float64
+
+func (invD jacobi) Apply(z, r []float64) {
+	z, r = z[:len(invD)], r[:len(invD)]
+	for i, d := range invD {
+		z[i] = d * r[i]
+	}
 }

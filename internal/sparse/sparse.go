@@ -1,8 +1,9 @@
 // Package sparse provides the sparse linear algebra needed by the thermal
 // solver: compressed sparse row (CSR) matrices assembled from coordinate
-// triplets, and iterative solvers (Jacobi-preconditioned conjugate gradient
-// and symmetric Gauss-Seidel) for the symmetric positive-definite conductance
-// systems G·T = P arising from the finite-difference thermal model.
+// triplets, and iterative solvers (preconditioned conjugate gradient, with a
+// Jacobi or a geometric multigrid preconditioner, and symmetric Gauss-Seidel)
+// for the symmetric positive-definite conductance systems G·T = P arising
+// from the finite-difference thermal model.
 package sparse
 
 import (
@@ -235,9 +236,8 @@ type CGOptions struct {
 	OnIteration func(iter int, residual float64)
 	// Precond, when non-nil, replaces the built-in Jacobi preconditioner in
 	// CGSolver.SolveContext / SolveCG / SolveCGContext and SolveCGBatch.
-	// A nil Precond keeps the historical Jacobi path, bit for bit; a non-nil
-	// one branches to a separate preconditioned loop before the Jacobi setup
-	// runs, so it cannot perturb default-path arithmetic.
+	// A nil Precond selects Jacobi (M = diag(A), re-read from the matrix on
+	// every solve). Both run the same CG loop; only the Apply differs.
 	Precond Preconditioner
 	// Inject, when armed at faultinject.PointCGSolve, makes the solve fail
 	// before iterating with an error matching both ErrNoConvergence and
@@ -247,9 +247,10 @@ type CGOptions struct {
 }
 
 // SolveCG solves A·x = b for symmetric positive-definite A using
-// Jacobi-preconditioned conjugate gradients. x is used as the initial guess
-// (a warm start from the previous SA step speeds the placer up considerably)
-// and is overwritten with the solution. It returns the iteration count.
+// preconditioned conjugate gradients (Jacobi unless opt.Precond is set). x
+// is used as the initial guess (a warm start from the previous SA step speeds
+// the placer up considerably) and is overwritten with the solution. It
+// returns the iteration count.
 //
 // SolveCG sets up a fresh CGSolver per call; callers solving repeatedly
 // against one matrix should hold a CGSolver to reuse its scratch buffers and

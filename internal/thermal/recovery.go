@@ -23,8 +23,9 @@ type RecoveryInfo struct {
 	// the warm-started attempt failed to converge.
 	ColdRestarts int `json:"cold_restarts"`
 	// PrecondFallback reports that the solve escalated to the
-	// multigrid-preconditioned rung (for a multigrid model: a second cold
-	// attempt under its hierarchy).
+	// multigrid-preconditioned rung. Only a Jacobi model takes that rung: a
+	// multigrid model's cold restart already ran under its hierarchy, so it
+	// goes straight to the relaxed tolerance.
 	PrecondFallback bool `json:"precond_fallback"`
 	// RelaxedTol is the loosened tolerance of the last-resort rung, zero when
 	// that rung never ran.
@@ -43,9 +44,9 @@ func (m *Model) coldGuess() {
 
 // runCG performs one CG attempt on the assembled system with the model's
 // observability trace attached, reusing cg's scratch when available. A nil
-// opt.Precond is the historical fused Jacobi path; otherwise it is the
-// model's multigrid hierarchy (set by solveAssembled or the recovery
-// ladder), whose V-cycles the attempt counts.
+// opt.Precond makes the solver precondition with the matrix diagonal
+// (Jacobi); otherwise it is the model's multigrid hierarchy (set by
+// solveAssembled or the recovery ladder), whose V-cycles the attempt counts.
 func (m *Model) runCG(ctx context.Context, a *sparse.CSR, cg *sparse.CGSolver, opt sparse.CGOptions) (int, error) {
 	var trace *obs.CGTrace
 	if m.obs.Enabled() {
@@ -83,13 +84,13 @@ func recoverable(ctx context.Context, err error) bool {
 //
 //  1. Cold restart: discard the (possibly misleading) warm state and retry
 //     the same solve — same preconditioner — from the uniform guess.
-//  2. Preconditioner fallback: retry under a multigrid hierarchy, again from
-//     a cold start. A Jacobi model builds its hierarchy only here; for a
-//     multigrid model this is a second cold attempt under the same
-//     hierarchy, which is already current for the assembled values.
-//  3. Relaxed tolerance: one last attempt under the same hierarchy at
-//     relaxedTolFactor× cgTol; success is flagged
-//     Degraded on the result.
+//  2. Preconditioner fallback, Jacobi models only: retry under a multigrid
+//     hierarchy, again from a cold start; the model builds its hierarchy
+//     here. A multigrid model skips this rung: rung 1 already ran from the
+//     same cold guess under the same current hierarchy and options, so a
+//     second attempt would repeat it bit for bit.
+//  3. Relaxed tolerance: one last attempt under the multigrid hierarchy at
+//     relaxedTolFactor× cgTol; success is flagged Degraded on the result.
 //
 // Each escalation increments its metrics counter and obs extension counter
 // and runs under a labeled span. The first rung to converge wins; when all
@@ -114,27 +115,29 @@ func (m *Model) recoverSolve(ctx context.Context, a *sparse.CSR, cg *sparse.CGSo
 		return rec, iters, err
 	}
 
-	// Rung 2: multigrid fallback, cold start.
-	sp = m.obs.StartSpanCtx(ctx, obs.PhaseThermalSolve, "recover:mg")
-	m.coldGuess()
-	rec.PrecondFallback = true
-	if m.ctr != nil {
-		m.ctr.CGFallbackPrecond++
-	}
-	m.obs.Add("cg_fallback_precond", 1)
-	mg, err := m.ensureMG(a)
-	if err != nil {
+	// Rung 2: multigrid fallback, cold start (Jacobi models only).
+	if m.precond == precondJacobi {
+		sp = m.obs.StartSpanCtx(ctx, obs.PhaseThermalSolve, "recover:mg")
+		m.coldGuess()
+		rec.PrecondFallback = true
+		if m.ctr != nil {
+			m.ctr.CGFallbackPrecond++
+		}
+		m.obs.Add("cg_fallback_precond", 1)
+		mg, err := m.ensureMG(a)
+		if err != nil {
+			sp.End()
+			return rec, 0, err
+		}
+		opt.Precond = mg
+		iters, err = m.runCG(ctx, a, cg, opt)
 		sp.End()
-		return rec, 0, err
-	}
-	opt.Precond = mg
-	iters, err = m.runCG(ctx, a, cg, opt)
-	sp.End()
-	if err == nil {
-		return rec, iters, nil
-	}
-	if !recoverable(ctx, err) {
-		return rec, iters, err
+		if err == nil {
+			return rec, iters, nil
+		}
+		if !recoverable(ctx, err) {
+			return rec, iters, err
+		}
 	}
 
 	// Rung 3: relaxed tolerance, last resort.

@@ -61,18 +61,19 @@ func TestRecoveryColdRestart(t *testing.T) {
 	}
 }
 
-// TestRecoveryMGFallback: two consecutive failures escalate to the
-// multigrid rung, which solves to the same tolerance. A Jacobi model builds
-// its hierarchy only on this rung; a multigrid model retries under the
-// hierarchy it already built. Either way the solve costs one setup.
+// TestRecoveryMGFallback: two consecutive failures escalate a Jacobi model
+// to the multigrid rung, which builds its hierarchy and solves to the same
+// tolerance. A multigrid model skips that rung, since its cold restart
+// already ran under the hierarchy, and comes back from the relaxed-tolerance
+// rung, degraded. Either way the solve costs one setup.
 func TestRecoveryMGFallback(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		grid       int
-		wantSetups int64
+		name         string
+		grid         int
+		wantFallback bool
 	}{
-		{"jacobi-g16", 16, 1},
-		{"mg-g96", 96, 1},
+		{"jacobi-g16", 16, true},
+		{"mg-g96", 96, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := recoveryModelGrid(t, tc.grid, nil, nil, false)
@@ -87,20 +88,23 @@ func TestRecoveryMGFallback(t *testing.T) {
 			m := recoveryModelGrid(t, tc.grid, inj, &ctr, false)
 			got, err := m.Solve([]Source{centeredSource(100)})
 			if err != nil {
-				t.Fatalf("mg rung did not rescue the solve: %v", err)
+				t.Fatalf("ladder did not rescue the solve: %v", err)
 			}
-			if got.Recovery == nil || !got.Recovery.PrecondFallback {
-				t.Fatalf("Recovery = %+v, want PrecondFallback", got.Recovery)
+			rec := got.Recovery
+			if rec == nil || rec.PrecondFallback != tc.wantFallback || rec.Degraded == tc.wantFallback {
+				t.Fatalf("Recovery = %+v, want PrecondFallback=%v Degraded=%v",
+					rec, tc.wantFallback, !tc.wantFallback)
 			}
-			if got.Recovery.Degraded {
-				t.Error("mg rung marked result degraded")
+			wantFallbacks := int64(0)
+			if tc.wantFallback {
+				wantFallbacks = 1
 			}
-			if ctr.CGRetries != 1 || ctr.CGFallbackPrecond != 1 {
-				t.Errorf("counters = %+v, want CGRetries=1 CGFallbackPrecond=1", ctr)
+			if ctr.CGRetries != 1 || ctr.CGFallbackPrecond != wantFallbacks {
+				t.Errorf("counters = %+v, want CGRetries=1 CGFallbackPrecond=%d", ctr, wantFallbacks)
 			}
-			if ctr.MGSetups != tc.wantSetups || ctr.MGCycles == 0 {
-				t.Errorf("mg_setups=%d mg_cycles=%d, want %d setups and some cycles",
-					ctr.MGSetups, ctr.MGCycles, tc.wantSetups)
+			if ctr.MGSetups != 1 || ctr.MGCycles == 0 {
+				t.Errorf("mg_setups=%d mg_cycles=%d, want 1 setup and some cycles",
+					ctr.MGSetups, ctr.MGCycles)
 			}
 			for i := range want.ChipTempC {
 				if math.Abs(want.ChipTempC[i]-got.ChipTempC[i]) > 1e-4 {
@@ -141,22 +145,38 @@ func TestRecoveryRelaxedTolLastResort(t *testing.T) {
 
 // TestRecoveryLadderExhausted: a persistent fault defeats every rung and the
 // final error keeps both the non-convergence class and the injection marker.
+// A Jacobi model climbs all three rungs; a multigrid model skips the
+// multigrid rung, so it attempts one solve fewer.
 func TestRecoveryLadderExhausted(t *testing.T) {
-	inj := faultinject.New(1)
-	inj.Arm(faultinject.PointCGSolve, faultinject.Spec{Every: 1})
-	m := recoveryModel(t, inj, nil, false)
-	_, err := m.Solve([]Source{centeredSource(100)})
-	if err == nil {
-		t.Fatal("persistent fault produced a result")
-	}
-	if !errors.Is(err, sparse.ErrNoConvergence) {
-		t.Errorf("error %v lost ErrNoConvergence", err)
-	}
-	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Errorf("error %v lost ErrInjected", err)
-	}
-	if got := inj.Fired(faultinject.PointCGSolve); got != 4 {
-		t.Errorf("injector fired %d times, want 4 (initial + 3 rungs)", got)
+	for _, tc := range []struct {
+		name      string
+		grid      int
+		wantSolve int64
+	}{
+		{"jacobi-g16", 16, 4}, // initial + 3 rungs
+		{"mg-g64", 64, 3},     // initial + cold restart + relaxed tolerance
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj := faultinject.New(1)
+			inj.Arm(faultinject.PointCGSolve, faultinject.Spec{Every: 1})
+			m := recoveryModelGrid(t, tc.grid, inj, nil, false)
+			_, err := m.Solve([]Source{centeredSource(100)})
+			if err == nil {
+				t.Fatal("persistent fault produced a result")
+			}
+			if !errors.Is(err, sparse.ErrNoConvergence) {
+				t.Errorf("error %v lost ErrNoConvergence", err)
+			}
+			if !errors.Is(err, faultinject.ErrInjected) {
+				t.Errorf("error %v lost ErrInjected", err)
+			}
+			if got := inj.Count(faultinject.PointCGSolve); got != tc.wantSolve {
+				t.Errorf("%d CG solves attempted, want %d", got, tc.wantSolve)
+			}
+			if got := inj.Fired(faultinject.PointCGSolve); got != tc.wantSolve {
+				t.Errorf("injector fired %d times, want %d", got, tc.wantSolve)
+			}
+		})
 	}
 }
 

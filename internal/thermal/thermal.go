@@ -45,9 +45,9 @@ type Options struct {
 	Stack *material.Stack
 	// Precond overrides the grid-selected CG preconditioner for
 	// steady-state solves. The empty default picks by grid: the Jacobi
-	// diagonal fused into the CG loop below grid 64 (the historical path,
-	// byte for byte), a geometric multigrid V-cycle from 64 up, where its
-	// near-grid-independent iteration count pays for the hierarchy.
+	// diagonal below grid 64 (the historical path, byte for byte), a
+	// geometric multigrid V-cycle from 64 up, where its near-grid-independent
+	// iteration count pays for the hierarchy.
 	// "jacobi" or "mg" forces one path at any grid; it exists for the
 	// solver-scaling bench and the cross-preconditioner agreement tests,
 	// not as a user-facing option.
