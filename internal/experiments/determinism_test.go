@@ -16,8 +16,10 @@ import (
 // counters at any GOMAXPROCS. Both cases run multigrid-preconditioned CG on
 // hierarchies whose fine levels are large enough for the parallel products:
 // a reduced E1 at the paper grid, and one annealing flow of the E3 system at
-// grid 128. Observability only watches, so the reduced E1 must also print
-// the same with an observer attached.
+// grid 128, whose placement is then screened at eight power corners in one
+// batch (columns cycling on parallel workers over a hierarchy whose fresh
+// Galerkin rows were built on parallel workers). Observability only watches,
+// so the reduced E1 must also print the same with an observer attached.
 func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	old := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
@@ -40,11 +42,22 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		{"E1 grid 64", func() (string, error) { return e1(nil) }},
 		{"E1 grid 64 observed", func() (string, error) { return e1(tap25d.NewObserver()) }},
 		{"E3 system grid 128", func() (string, error) {
-			res, err := tap25d.Place(systems.CPUDRAM(), tap25d.Options{ThermalGrid: 128, Steps: 6, Runs: 1, CompactSteps: 2000, Seed: 1})
+			sys := systems.CPUDRAM()
+			res, err := tap25d.Place(sys, tap25d.Options{ThermalGrid: 128, Steps: 6, Runs: 1, CompactSteps: 2000, Seed: 1})
 			if err != nil {
 				return "", err
 			}
-			return fmt.Sprintf("%v %v C %v mm\n  counters: %s\n", res.Placement.Centers, res.PeakC, res.WirelengthMM, res.Metrics), nil
+			out := fmt.Sprintf("%v %v C %v mm\n  counters: %s\n", res.Placement.Centers, res.PeakC, res.WirelengthMM, res.Metrics)
+			o := tap25d.NewObserver()
+			scales := []float64{0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4}
+			fields, err := tap25d.EvaluateScenarios(sys, res.Placement, scales, tap25d.Options{ThermalGrid: 128, Observer: o})
+			if err != nil {
+				return "", err
+			}
+			for c, f := range fields {
+				out += fmt.Sprintf("  corner %v: %v C, %d iterations\n", scales[c], f.PeakC, f.Iterations)
+			}
+			return out + fmt.Sprintf("  corner counters: %v\n", o.Report().Extra), nil
 		}},
 	} {
 		var want string

@@ -239,24 +239,28 @@ func (b *batchState) mul(dst, src [][]float64) {
 	wg.Wait()
 }
 
-// forCols runs fn for every active slot — concurrently when the system is
-// large enough to parallelize (columns are fully independent between the
-// blocked products; each column's own arithmetic stays serial and ordered,
-// so the results do not depend on the schedule).
+// forCols runs fn for every active slot — on min(workers, m) goroutines,
+// each striding the slots, when the system is large enough to parallelize
+// (columns are fully independent between the blocked products; each
+// column's own arithmetic stays serial and ordered, so the results do not
+// depend on the schedule).
 func (b *batchState) forCols(fn func(c int)) {
-	if b.workers < 2 || b.m < 2 {
-		for c := 0; c < b.m; c++ {
+	w, m := min(b.workers, b.m), b.m
+	if w < 2 {
+		for c := 0; c < m; c++ {
 			fn(c)
 		}
 		return
 	}
 	var wg sync.WaitGroup
-	for c := 0; c < b.m; c++ {
+	for g := 0; g < w; g++ {
 		wg.Add(1)
-		go func(c int) {
+		go func(g int) {
 			defer wg.Done()
-			fn(c)
-		}(c)
+			for c := g; c < m; c += w {
+				fn(c)
+			}
+		}(g)
 	}
 	wg.Wait()
 }
@@ -394,23 +398,25 @@ func (b *batchState) run(ctx context.Context, bs [][]float64, tol float64, maxIt
 	return b.iters, fmt.Errorf("sparse: %d of %d batch columns: %w", failed, len(b.iters), ErrNoConvergence)
 }
 
-// precondition sets z = M⁻¹·r and rzNew = r·z for every active column. The
-// shared preconditioner applies serially: instances like Multigrid smooth
-// into shared scratch and are not concurrency-safe. A non-positive r·z
-// aborts the batch at iteration it.
+// precondition sets z = M⁻¹·r and rzNew = r·z for every active column, the
+// columns on parallel workers sharing the concurrency-safe preconditioner.
+// A non-positive r·z, checked in ascending slot order, aborts the batch at
+// iteration it.
 func (b *batchState) precondition(it int) error {
-	for c := 0; c < b.m; c++ {
+	b.forCols(func(c int) {
 		rc, zc := b.r[c], b.z[c]
 		b.pre.Apply(zc, rc)
 		var rz float64
 		for i := 0; i < b.n; i++ {
 			rz += rc[i] * zc[i]
 		}
-		if rz <= 0 {
+		b.rzNew[c] = rz
+	})
+	for c := 0; c < b.m; c++ {
+		if rz := b.rzNew[c]; rz <= 0 {
 			b.abort(it)
 			return fmt.Errorf("sparse: r'M⁻¹r = %g <= 0; preconditioner not positive definite", rz)
 		}
-		b.rzNew[c] = rz
 	}
 	return nil
 }

@@ -3,8 +3,10 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // This file implements a geometric multigrid V-cycle preconditioner for the
@@ -174,15 +176,15 @@ var mgStructCache struct {
 	order []mgCacheKey // insertion order, oldest first
 }
 
-// patternHash is FNV-1a over the CSR row pointers and column indices.
+// patternHash is FNV-1a over the CSR row pointers and column indices, mixed
+// one int32 word at a time. It only keys the in-memory structure cache and is
+// never persisted.
 func patternHash(a *CSR) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
 	mix := func(v int32) {
-		for s := 0; s < 32; s += 8 {
-			h ^= uint64(uint8(v >> s))
-			h *= prime
-		}
+		h ^= uint64(uint32(v))
+		h *= prime
 	}
 	for _, v := range a.RowPtr {
 		mix(v)
@@ -432,16 +434,28 @@ func buildMGStructure(a *CSR, geo GridGeometry) *mgStructure {
 // per-column tridiagonal LDLᵀ factors (lfac holds the unit-lower multiplier
 // of each row toward the layer below, dinv the inverse pivots), the inverse
 // point diagonal for the coarsest-level GS fallback (coarsest level only),
-// the rows the current Refresh recomputes, and V-cycle scratch: r and z for
-// the level's defect and correction (level 0 holds the permuted r and z of
-// Apply), t for the residual (every level but the coarsest).
+// and the rows the current Refresh recomputes.
 type mgLevelData struct {
 	a          *CSR
 	invD       []float64
 	lfac, dinv []float64
 	dirty      []bool
-	r, z, t    []float64
 }
+
+// mgCycle is the scratch one V-cycle writes: per level, r and z for the
+// level's defect and correction (level 0 holds the permuted r and z of
+// Apply) and t for the residual (every level but the coarsest), plus line,
+// one column's values (Layers long) for line solves and transfers.
+type mgCycle struct {
+	r, z, t [][]float64
+	line    []float64
+}
+
+// galerkinGrainRows is the fewest marked rows of one level that Refresh
+// hands a worker of its own. An SA move marks a few hundred rows per level
+// at grid 64, which stay serial; a full refresh marks every row and runs on
+// every core.
+const galerkinGrainRows = 256
 
 // Multigrid is a geometric multigrid V-cycle over a bound matrix,
 // implementing Preconditioner. The bound matrix's values may change freely
@@ -450,24 +464,31 @@ type mgLevelData struct {
 // then the cycle preconditions with the values of the previous Refresh,
 // which affects CG's iteration count but never its answer.
 //
-// A Multigrid is not safe for concurrent use (it smooths into per-level
-// scratch), but its symbolic skeleton is shared process-wide across
-// instances with the same geometry and sparsity pattern.
+// Apply is safe for concurrent use: a V-cycle only reads the numeric
+// hierarchy and writes scratch it takes from a per-instance free list, so
+// SolveCGBatch runs its columns' cycles on parallel workers. Refresh must not
+// run concurrently with Apply or with itself. The symbolic skeleton is
+// shared process-wide across instances with the same geometry and sparsity
+// pattern.
 type Multigrid struct {
 	s *mgStructure
 	a *CSR
 
 	lv   []mgLevelData
-	chol []float64 // dense Cholesky factor of the coarsest level, nil → GS fallback
-	ws   []float64 // Galerkin scatter workspace, maxCoarseN long
-	line []float64 // one column's values, Layers long: line-solve and transfer scratch
+	chol []float64   // dense Cholesky factor of the coarsest level, nil → GS fallback
+	ws   [][]float64 // Galerkin scatter workspaces, maxCoarseN long, one per Refresh worker
+	rows []int32     // one level's marked rows, Refresh scratch
+
+	mu   sync.Mutex
+	free []*mgCycle // idle V-cycle scratch
 
 	// needFull makes the next Refresh recompute every row: set for a fresh
 	// instance and by a failed Refresh, whose partial updates the row marks
 	// no longer describe.
 	needFull bool
 
-	cycles, setups int64
+	cycles atomic.Int64
+	setups int64
 }
 
 // NewMultigrid builds a V-cycle preconditioner for a, whose rows must be laid
@@ -487,8 +508,7 @@ func NewMultigrid(a *CSR, geo GridGeometry) (*Multigrid, error) {
 		s:        s,
 		a:        a,
 		lv:       make([]mgLevelData, len(s.levels)),
-		ws:       make([]float64, s.maxCoarseN),
-		line:     make([]float64, geo.Layers),
+		ws:       [][]float64{make([]float64, s.maxCoarseN)},
 		needFull: true,
 	}
 	last := len(s.levels) - 1
@@ -501,12 +521,8 @@ func NewMultigrid(a *CSR, geo GridGeometry) (*Multigrid, error) {
 		// also what Refresh diffs against to find the rows that changed.
 		d := &mg.lv[l]
 		d.a = &CSR{N: lev.n, RowPtr: lev.rowPtr, Col: lev.col, Val: make([]float64, len(lev.col))}
-		d.r = make([]float64, lev.n)
-		d.z = make([]float64, lev.n)
 		if l == last {
 			d.invD = make([]float64, lev.n)
-		} else {
-			d.t = make([]float64, lev.n)
 		}
 		d.lfac = make([]float64, lev.n)
 		d.dinv = make([]float64, lev.n)
@@ -523,7 +539,7 @@ func NewMultigrid(a *CSR, geo GridGeometry) (*Multigrid, error) {
 func (mg *Multigrid) Levels() int { return len(mg.lv) }
 
 // Cycles returns the number of V-cycles applied since construction.
-func (mg *Multigrid) Cycles() int64 { return mg.cycles }
+func (mg *Multigrid) Cycles() int64 { return mg.cycles.Load() }
 
 // Setups returns the number of successful Refresh passes (including the
 // constructor's).
@@ -559,11 +575,7 @@ func (mg *Multigrid) Refresh() error {
 	mg.markFine(full)
 	for l := 1; l < len(mg.lv); l++ {
 		mg.markParents(l)
-		for I, dirty := range mg.lv[l].dirty {
-			if dirty {
-				mg.galerkinRow(l, I)
-			}
-		}
+		mg.galerkinLevel(l)
 	}
 	for l := range mg.lv {
 		if err := mg.refreshSmoother(l); err != nil {
@@ -676,17 +688,51 @@ func (mg *Multigrid) refreshSmoother(l int) error {
 	return nil
 }
 
+// galerkinLevel recomputes level l's marked rows. A row reads only level
+// l-1 and writes only its own slots, so contiguous runs of the marked rows
+// go to min(GOMAXPROCS, marked/galerkinGrainRows) workers, each with its own
+// scatter workspace, and the values do not depend on the split.
+func (mg *Multigrid) galerkinLevel(l int) {
+	rows := mg.rows[:0]
+	for I, dirty := range mg.lv[l].dirty {
+		if dirty {
+			rows = append(rows, int32(I))
+		}
+	}
+	mg.rows = rows
+	w := min(runtime.GOMAXPROCS(0), len(rows)/galerkinGrainRows)
+	if w < 2 {
+		for _, I := range rows {
+			mg.galerkinRow(l, int(I), mg.ws[0])
+		}
+		return
+	}
+	for len(mg.ws) < w {
+		mg.ws = append(mg.ws, make([]float64, mg.s.maxCoarseN))
+	}
+	var wg sync.WaitGroup
+	for k := 0; k < w; k++ {
+		wg.Add(1)
+		go func(part []int32, ws []float64) {
+			defer wg.Done()
+			for _, I := range part {
+				mg.galerkinRow(l, int(I), ws)
+			}
+		}(rows[k*len(rows)/w:(k+1)*len(rows)/w], mg.ws[k])
+	}
+	wg.Wait()
+}
+
 // galerkinRow recomputes row I of level l's operator as (Pᵀ·A·P)[I,:] from
 // level l-1's operator and level l's interpolation: contributions are
-// scattered into a dense workspace through the fixed interpolation lists and
-// gathered back into the (superset-by-construction) pattern slots, which
-// also re-zeroes the workspace. Serial and in fixed order, hence
-// deterministic, and independent of every other row.
-func (mg *Multigrid) galerkinRow(l, I int) {
+// scattered into the dense workspace ws through the fixed interpolation
+// lists and gathered back into the (superset-by-construction) pattern slots,
+// which also re-zeroes ws. Serial and in fixed order, hence deterministic,
+// and independent of every other row.
+func (mg *Multigrid) galerkinRow(l, I int, ws []float64) {
 	lev, fineLev := mg.s.levels[l], mg.s.levels[l-1]
 	fine, coarse := mg.lv[l-1].a, mg.lv[l].a
 	pPtr, pCol, pW := lev.pPtr, lev.pCol, lev.pW
-	ws := mg.ws
 	cs, ps := lev.row(0, 1), lev.row(1, 0)
 	layers := uint32(fineLev.layers) // the finer level is line-major
 	P, C := lev.pos(I)
@@ -714,34 +760,70 @@ func (mg *Multigrid) galerkinRow(l, I int) {
 	}
 }
 
-// Apply runs one V-cycle: z ≈ A⁻¹·r. It implements Preconditioner. r and z
-// are in the bound matrix's layer-major numbering and are permuted into and
-// out of level 0's.
+// Apply runs one V-cycle: z ≈ A⁻¹·r. It implements Preconditioner and is
+// safe for concurrent use. r and z are in the bound matrix's layer-major
+// numbering and are permuted into and out of level 0's.
 func (mg *Multigrid) Apply(z, r []float64) {
-	mg.cycles++
-	lev, d := mg.s.levels[0], &mg.lv[0]
+	mg.cycles.Add(1)
+	c := mg.takeCycle()
+	defer mg.putCycle(c)
+	lev, r0, z0 := mg.s.levels[0], c.r[0], c.z[0]
 	nxy := lev.nx * lev.ny
 	cs, ps := lev.row(0, 1), lev.row(1, 0)
 	for p := 0; p < lev.layers; p++ {
-		for c := 0; c < nxy; c++ {
-			d.r[c*cs+p*ps] = r[p*nxy+c]
+		for i := 0; i < nxy; i++ {
+			r0[i*cs+p*ps] = r[p*nxy+i]
 		}
 	}
-	mg.vcycle(0, d.z, d.r)
+	mg.vcycle(c, 0)
 	for p := 0; p < lev.layers; p++ {
-		for c := 0; c < nxy; c++ {
-			z[p*nxy+c] = d.z[c*cs+p*ps]
+		for i := 0; i < nxy; i++ {
+			z[p*nxy+i] = z0[i*cs+p*ps]
 		}
 	}
 }
 
-// vcycle recurses one level: forward line-GS pre-smooth from a zero guess,
-// restricted-defect coarse correction, backward line-GS post-smooth. The
-// backward sweep is the A-adjoint of the forward one and R = Pᵀ, so the cycle
-// is a symmetric positive-definite operator, which is what lets it sit
-// inside PCG.
-func (mg *Multigrid) vcycle(l int, z, r []float64) {
-	d := &mg.lv[l]
+// newCycle allocates one V-cycle's scratch for mg's hierarchy.
+func (mg *Multigrid) newCycle() *mgCycle {
+	n := len(mg.s.levels)
+	c := &mgCycle{r: make([][]float64, n), z: make([][]float64, n), t: make([][]float64, n),
+		line: make([]float64, mg.s.geo.Layers)}
+	for l, lev := range mg.s.levels {
+		c.r[l], c.z[l] = make([]float64, lev.n), make([]float64, lev.n)
+		if l < n-1 {
+			c.t[l] = make([]float64, lev.n)
+		}
+	}
+	return c
+}
+
+// takeCycle pops idle V-cycle scratch off the free list, allocating a set
+// when every one is in use (or on the first Apply).
+func (mg *Multigrid) takeCycle() *mgCycle {
+	mg.mu.Lock()
+	defer mg.mu.Unlock()
+	if k := len(mg.free) - 1; k >= 0 {
+		c := mg.free[k]
+		mg.free = mg.free[:k]
+		return c
+	}
+	return mg.newCycle()
+}
+
+// putCycle returns V-cycle scratch to the free list.
+func (mg *Multigrid) putCycle(c *mgCycle) {
+	mg.mu.Lock()
+	mg.free = append(mg.free, c)
+	mg.mu.Unlock()
+}
+
+// vcycle recurses one level, from c.r[l] into c.z[l]: forward line-GS
+// pre-smooth from a zero guess, restricted-defect coarse correction, backward
+// line-GS post-smooth. The backward sweep is the A-adjoint of the forward one
+// and R = Pᵀ, so the cycle is a symmetric positive-definite operator, which
+// is what lets it sit inside PCG.
+func (mg *Multigrid) vcycle(c *mgCycle, l int) {
+	d, z, r := &mg.lv[l], c.z[l], c.r[l]
 	if l == len(mg.lv)-1 {
 		if mg.chol != nil {
 			cholSolve(mg.chol, d.a.N, z, r)
@@ -750,22 +832,21 @@ func (mg *Multigrid) vcycle(l int, z, r []float64) {
 		}
 		return
 	}
+	t := c.t[l]
 	mg.forwardSweep(l, z, r)
-	mg.sweepDefect(l, d.t, z)
-	nxt := &mg.lv[l+1]
-	mg.restrict(l+1, nxt.r, d.t)
-	mg.vcycle(l+1, nxt.z, nxt.r)
-	mg.prolongAdd(l+1, z, nxt.z)
-	mg.backwardSweep(l, z, r)
+	mg.sweepDefect(l, t, z)
+	mg.restrict(l+1, c.r[l+1], t, c.line)
+	mg.vcycle(c, l+1)
+	mg.prolongAdd(l+1, z, c.z[l+1], c.line)
+	mg.backwardSweep(l, z, r, c.line)
 }
 
 // restrict computes level l's defect rc = Pᵀ·tf from the line-major level
 // l-1 defect tf, one coarse column at a time: each of the column's layers
-// sums its children in list order.
-func (mg *Multigrid) restrict(l int, rc, tf []float64) {
+// sums its children in list order, in acc (Layers long).
+func (mg *Multigrid) restrict(l int, rc, tf, acc []float64) {
 	lev := mg.s.levels[l]
 	cs, ps := lev.row(0, 1), lev.row(1, 0)
-	acc := mg.line
 	for C := 0; C < lev.nx*lev.ny; C++ {
 		clear(acc)
 		for q := lev.ptPtr[C]; q < lev.ptPtr[C+1]; q++ {
@@ -782,11 +863,10 @@ func (mg *Multigrid) restrict(l int, rc, tf []float64) {
 }
 
 // prolongAdd adds the prolonged level-l correction P·zc to the line-major
-// level l-1 vector zf, one fine column at a time.
-func (mg *Multigrid) prolongAdd(l int, zf, zc []float64) {
+// level l-1 vector zf, one fine column at a time, accumulating in acc.
+func (mg *Multigrid) prolongAdd(l int, zf, zc, acc []float64) {
 	lev := mg.s.levels[l]
 	cs, ps := lev.row(0, 1), lev.row(1, 0)
-	acc := mg.line
 	for f := 0; f < len(lev.pPtr)-1; f++ {
 		clear(acc)
 		for q := lev.pPtr[f]; q < lev.pPtr[f+1]; q++ {
@@ -834,11 +914,11 @@ func (mg *Multigrid) sweepDefect(l int, t, z []float64) {
 
 // backwardSweep is the post-smooth: the same sweep in exactly the reverse
 // column order, which makes it forwardSweep's A-adjoint, with right-hand
-// sides that read every coupling outside the block at its latest value.
-func (mg *Multigrid) backwardSweep(l int, z, r []float64) {
+// sides that read every coupling outside the block at its latest value. t is
+// one column's scratch.
+func (mg *Multigrid) backwardSweep(l int, z, r, t []float64) {
 	lev, d := mg.s.levels[l], &mg.lv[l]
 	a := d.a
-	t := mg.line
 	for base := len(z) - lev.layers; base >= 0; base -= lev.layers {
 		for p := range t {
 			i := base + p

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -402,6 +403,21 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// sameHierarchy fails unless mg and want hold the same numeric hierarchy bit
+// for bit: every level's operator values, line factors and inverse
+// diagonals, and the coarsest Cholesky factor.
+func sameHierarchy(t *testing.T, mg, want *Multigrid) {
+	t.Helper()
+	for l := range want.lv {
+		got, want := &mg.lv[l], &want.lv[l]
+		sameBits(t, fmt.Sprintf("level %d values", l), got.a.Val, want.a.Val)
+		sameBits(t, fmt.Sprintf("level %d lfac", l), got.lfac, want.lfac)
+		sameBits(t, fmt.Sprintf("level %d dinv", l), got.dinv, want.dinv)
+		sameBits(t, fmt.Sprintf("level %d invD", l), got.invD, want.invD)
+	}
+	sameBits(t, "coarsest Cholesky", mg.chol, want.chol)
+}
+
 // matchesFresh fails unless mg's numeric hierarchy and V-cycle are
 // bit-identical to a freshly built Multigrid over the same matrix.
 func matchesFresh(t *testing.T, mg *Multigrid, r []float64) {
@@ -410,14 +426,7 @@ func matchesFresh(t *testing.T, mg *Multigrid, r []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for l := range fresh.lv {
-		got, want := &mg.lv[l], &fresh.lv[l]
-		sameBits(t, fmt.Sprintf("level %d values", l), got.a.Val, want.a.Val)
-		sameBits(t, fmt.Sprintf("level %d lfac", l), got.lfac, want.lfac)
-		sameBits(t, fmt.Sprintf("level %d dinv", l), got.dinv, want.dinv)
-		sameBits(t, fmt.Sprintf("level %d invD", l), got.invD, want.invD)
-	}
-	sameBits(t, "coarsest Cholesky", mg.chol, fresh.chol)
+	sameHierarchy(t, mg, fresh)
 	got := make([]float64, len(r))
 	want := make([]float64, len(r))
 	mg.Apply(got, r)
@@ -467,6 +476,69 @@ func TestMultigridIncrementalRefreshBitIdentical(t *testing.T) {
 				t.Fatalf("Setups() = %d, want 6", got)
 			}
 		})
+	}
+}
+
+// TestMultigridBuildBitsAcrossGOMAXPROCS: a full Refresh splits each level's
+// Galerkin rows over min(GOMAXPROCS, marked/galerkinGrainRows) workers, so a
+// fresh hierarchy must hold the same operators, line factors and coarsest
+// Cholesky factor whether it was built on one worker or four.
+func TestMultigridBuildBitsAcrossGOMAXPROCS(t *testing.T) {
+	const g, layers = 64, 4
+	a := grid3D(g, layers)
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 8; k++ {
+		localMove(t, a, g, layers, rng)
+	}
+	old := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	serial, err := NewMultigrid(a, stackGeo(g, layers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GOMAXPROCS(4)
+	parallel, err := NewMultigrid(a, stackGeo(g, layers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := countTrue(parallel.lv[1].dirty); n < 4*galerkinGrainRows {
+		t.Fatalf("level 1 built %d rows, too few for four workers", n)
+	}
+	sameHierarchy(t, parallel, serial)
+}
+
+// TestMultigridConcurrentApply: V-cycles running at once on one hierarchy
+// each give the bits of the same cycle run alone, and every cycle counts.
+func TestMultigridConcurrentApply(t *testing.T) {
+	const g, layers, cols = 32, 4, 8
+	a := grid3D(g, layers)
+	mg, err := NewMultigrid(a, stackGeo(g, layers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	rs, want, got := make([][]float64, cols), make([][]float64, cols), make([][]float64, cols)
+	for c := range rs {
+		rs[c], want[c], got[c] = make([]float64, a.N), make([]float64, a.N), make([]float64, a.N)
+		for i := range rs[c] {
+			rs[c][i] = rng.NormFloat64()
+		}
+		mg.Apply(want[c], rs[c])
+	}
+	var wg sync.WaitGroup
+	for c := range rs {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			mg.Apply(got[c], rs[c])
+		}(c)
+	}
+	wg.Wait()
+	for c := range rs {
+		sameBits(t, fmt.Sprintf("column %d", c), got[c], want[c])
+	}
+	if n := mg.Cycles(); n != 2*cols {
+		t.Fatalf("Cycles() = %d, want %d", n, 2*cols)
 	}
 }
 
@@ -623,9 +695,10 @@ func unsplitApply(mg *Multigrid, z, r []float64) {
 		for i := range t {
 			t[i] = r[i] - t[i]
 		}
-		mg.restrict(l+1, rs[l+1], t)
+		acc := make([]float64, mg.s.geo.Layers)
+		mg.restrict(l+1, rs[l+1], t, acc)
 		cycle(l + 1)
-		mg.prolongAdd(l+1, z, zs[l+1])
+		mg.prolongAdd(l+1, z, zs[l+1], acc)
 		unsplitSweep(mg, l, z, r, true)
 	}
 	cycle(0)

@@ -217,7 +217,9 @@ var ErrNoConvergence = errors.New("sparse: solver did not converge")
 // operator must be linear, symmetric positive definite, and fixed for the
 // duration of one solve (it may change freely between solves — the
 // convergence test uses the true residual, so a stale-but-SPD preconditioner
-// affects only the iteration count, never the answer).
+// affects only the iteration count, never the answer). Apply must be safe
+// for concurrent use: SolveCGBatch preconditions its columns on parallel
+// workers through one shared Preconditioner.
 type Preconditioner interface {
 	Apply(z, r []float64)
 }

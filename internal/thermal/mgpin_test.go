@@ -103,3 +103,29 @@ func BenchmarkMultigridApply(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMultigridBuild times one fresh hierarchy (NewMultigrid over a
+// cached symbolic structure: allocation plus a full Refresh) on the CPU-DRAM
+// thermal matrix, the set-up every batched corner screen pays.
+func BenchmarkMultigridBuild(b *testing.B) {
+	pc := precondCases()[1] // cpudram
+	stack := material.DefaultStackFor(pc.w, pc.h)
+	for _, g := range []int{64, 128} {
+		b.Run(fmt.Sprintf("grid%d", g), func(b *testing.B) {
+			m, err := NewModel(pc.w, pc.h, Options{Grid: g, Stack: &stack, Precond: precondMG})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := m.Solve(pc.sources); err != nil {
+				b.Fatal(err)
+			}
+			geo := sparse.GridGeometry{Layers: m.nDevLayers + 2, Nx: g, Ny: g}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sparse.NewMultigrid(m.fixed.Mat, geo); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
