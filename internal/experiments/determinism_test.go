@@ -16,9 +16,10 @@ import (
 // counters at any GOMAXPROCS. Both cases run multigrid-preconditioned CG on
 // hierarchies whose fine levels are large enough for the parallel products:
 // a reduced E1 at the paper grid, and one annealing flow of the E3 system at
-// grid 128, whose placement is then screened at eight power corners in one
-// batch (columns cycling on parallel workers over a hierarchy whose fresh
-// Galerkin rows were built on parallel workers). Observability only watches,
+// grid 128, whose placement is then screened at eight power corners: one
+// cold solve on a fresh model (a hierarchy whose coarse patterns and
+// Galerkin rows were built on parallel workers) plus one scaling per
+// corner. Observability only watches,
 // so the reduced E1 must also print the same with an observer attached.
 func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	old := runtime.GOMAXPROCS(0)

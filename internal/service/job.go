@@ -70,10 +70,11 @@ type JobSpec struct {
 	// GasStation enables 2-stage pipelined routing (Eqn. 9).
 	GasStation bool `json:"gas_station,omitempty"`
 	// PowerScenarios, when non-empty, asks the worker to re-evaluate the
-	// final placement under these whole-system power scale factors in one
-	// batched multi-RHS thermal solve; the per-corner peak temperatures are
-	// returned in JobResult.ScenarioPeaksC. This is power-corner screening:
-	// "is the placement still feasible at 120% TDP?" without extra jobs.
+	// final placement under these whole-system power scale factors (one
+	// thermal solve at nominal power, scaled per corner); the per-corner
+	// peak temperatures are returned in JobResult.ScenarioPeaksC. This is
+	// power-corner screening: "is the placement still feasible at 120%
+	// TDP?" without extra jobs.
 	PowerScenarios []float64 `json:"power_scenarios,omitempty"`
 	// NoSurrogate disables the two-fidelity surrogate prescreen. Like the
 	// CLIs, the service runs with the surrogate ON by default.
@@ -114,8 +115,8 @@ func (s *JobSpec) Validate() error {
 	return nil
 }
 
-// maxPowerScenarios bounds the per-job power-corner sweep; the batched
-// solver holds all right-hand sides in memory at once.
+// maxPowerScenarios bounds the per-job power-corner sweep; every corner's
+// temperature map is held in memory at once.
 const maxPowerScenarios = 64
 
 // LoadSystem materializes the spec's system description.

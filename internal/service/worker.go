@@ -475,8 +475,8 @@ func (w *Worker) execute(ctx context.Context, job *Job, guard *leaseGuard) (*tap
 }
 
 // scenarioPeaks re-evaluates a finished placement under the job's requested
-// power corners in one batched multi-RHS thermal solve and returns the peak
-// temperature of each corner.
+// power corners, one thermal solve at nominal power scaled per corner, and
+// returns the peak temperature of each corner.
 func (w *Worker) scenarioPeaks(ctx context.Context, sys *tap25d.System, job *Job, p tap25d.Placement) ([]float64, error) {
 	results, err := tap25d.EvaluateScenarios(sys, p, job.Spec.PowerScenarios, tap25d.Options{
 		ThermalGrid: job.Spec.ThermalGrid,

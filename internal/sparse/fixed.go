@@ -1,6 +1,9 @@
 package sparse
 
-import "sort"
+import (
+	"slices"
+	"sync"
+)
 
 // Fixed is a CSR matrix with a frozen sparsity pattern whose values can be
 // updated in place, term by term. It is built once from a Builder's full
@@ -27,23 +30,6 @@ type Fixed struct {
 	slotTerm []int32   // terms of each slot in Build's summation order
 }
 
-// taggedRowView sorts one row's (col, val, term) triples by column. Its Less
-// depends only on the columns, so it applies the same permutation
-// Builder.Build's rowView sort would.
-type taggedRowView struct {
-	col []int32
-	val []float64
-	tag []int32
-}
-
-func (r taggedRowView) Len() int           { return len(r.col) }
-func (r taggedRowView) Less(i, j int) bool { return r.col[i] < r.col[j] }
-func (r taggedRowView) Swap(i, j int) {
-	r.col[i], r.col[j] = r.col[j], r.col[i]
-	r.val[i], r.val[j] = r.val[j], r.val[i]
-	r.tag[i], r.tag[j] = r.tag[j], r.tag[i]
-}
-
 // NumEntries returns the number of accumulated (non-zero) entries so far.
 // Callers planning in-place updates use it to learn the term index the next
 // Add/AddSym call will receive.
@@ -53,61 +39,86 @@ func (b *Builder) NumEntries() int { return len(b.vals) }
 // values, bit for bit — and additionally records, for every accumulated
 // entry, which value slot it landed in and in which order each slot sums its
 // entries. The builder's entries keep their insertion indices as term IDs.
+//
+// The pattern (RowPtr, Col and the term bookkeeping) is a pure function of
+// the builder's (row, col) sequence, so it is cached process-wide
+// (fixedCache): a repeat build of the same sequence skips the sorts, shares
+// the cached pattern arrays and only fills its own values, which RefreshAll
+// sums in the recorded order. Nothing writes a Fixed's pattern arrays.
 func (b *Builder) BuildFixed() *Fixed {
-	n := b.n
-	nTerms := len(b.vals)
-
-	// Counting sort by row (stable), carrying term indices.
-	count := make([]int32, n+1)
-	for _, r := range b.rows {
-		count[r+1]++
-	}
-	for i := 0; i < n; i++ {
-		count[i+1] += count[i]
-	}
-	start := make([]int32, n)
-	copy(start, count[:n])
-	ordCol := make([]int32, nTerms)
-	ordVal := make([]float64, nTerms)
-	ordTerm := make([]int32, nTerms)
-	for k, r := range b.rows {
-		p := start[r]
-		ordCol[p] = b.cols[k]
-		ordVal[p] = b.vals[k]
-		ordTerm[p] = int32(k)
-		start[r] = p + 1
-	}
-
-	m := &CSR{N: n, RowPtr: make([]int32, n+1)}
-	m.Col = make([]int32, 0, nTerms)
-	m.Val = make([]float64, 0, nTerms)
+	p := fixedPatternFor(b)
 	f := &Fixed{
-		Mat:      m,
+		Mat:      &CSR{N: p.Mat.N, RowPtr: p.Mat.RowPtr, Col: p.Mat.Col, Val: make([]float64, len(p.Mat.Col))},
 		terms:    append([]float64(nil), b.vals...),
+		termSlot: p.termSlot,
+		slotPtr:  p.slotPtr,
+		slotTerm: p.slotTerm,
+	}
+	f.RefreshAll()
+	return f
+}
+
+// fixedKey identifies a frozen pattern: the matrix order, the entry count
+// and a hash of the (row, col) sequence.
+type fixedKey struct {
+	n, terms int
+	hash     uint64
+}
+
+// fixedCacheMax bounds the pattern cache. A placement flow or a worker pool
+// assembles one stack at one grid, so a few entries cover the working set,
+// while each new interposer size or grid a long-lived service sees would
+// otherwise pin a pattern (8 bytes per coordinate entry plus 8 per stored
+// value) forever. Evicting an
+// entry only costs a sort on its next use; live Fixed instances keep their
+// own references.
+const fixedCacheMax = 4
+
+// fixedCache maps fixedKey to a pattern-only Fixed (Mat.Val and terms nil),
+// evicting the oldest entry beyond fixedCacheMax.
+var fixedCache struct {
+	sync.Mutex
+	m     map[fixedKey]*Fixed
+	order []fixedKey // insertion order, oldest first
+}
+
+// fixedPatternFor returns the cached pattern of b's entry sequence, building
+// it on first use. The build runs under the cache lock, so models that start
+// together sort a pattern once and share it.
+func fixedPatternFor(b *Builder) *Fixed {
+	key := fixedKey{n: b.n, terms: len(b.rows), hash: fnvWords(fnvWords(fnvOffset, b.rows), b.cols)}
+	c := &fixedCache
+	c.Lock()
+	defer c.Unlock()
+	if p, ok := c.m[key]; ok {
+		return p
+	}
+	p := b.fixedPattern()
+	if c.m == nil {
+		c.m = make(map[fixedKey]*Fixed)
+	}
+	c.m[key] = p
+	c.order = append(c.order, key)
+	if len(c.order) > fixedCacheMax {
+		delete(c.m, c.order[0])
+		c.order = slices.Delete(c.order, 0, 1)
+	}
+	return p
+}
+
+// fixedPattern sorts b's entries into a pattern-only Fixed, bypassing the
+// cache.
+func (b *Builder) fixedPattern() *Fixed {
+	nTerms := len(b.vals)
+	p := &Fixed{
 		termSlot: make([]int32, nTerms),
 		slotPtr:  make([]int32, 0, nTerms+1),
-		slotTerm: ordTerm,
+		slotTerm: make([]int32, 0, nTerms),
 	}
-	for i := 0; i < n; i++ {
-		lo, hi := count[i], count[i+1]
-		row := taggedRowView{col: ordCol[lo:hi], val: ordVal[lo:hi], tag: ordTerm[lo:hi]}
-		sort.Sort(row)
-		var lastC int32 = -1
-		for k := lo; k < hi; k++ {
-			if ordCol[k] == lastC {
-				m.Val[len(m.Val)-1] += ordVal[k]
-			} else {
-				m.Col = append(m.Col, ordCol[k])
-				m.Val = append(m.Val, ordVal[k])
-				lastC = ordCol[k]
-				f.slotPtr = append(f.slotPtr, k)
-			}
-			f.termSlot[ordTerm[k]] = int32(len(m.Val) - 1)
-		}
-		m.RowPtr[i+1] = int32(len(m.Col))
-	}
-	f.slotPtr = append(f.slotPtr, int32(nTerms))
-	return f
+	m := b.build(p)
+	p.slotPtr = append(p.slotPtr, int32(nTerms))
+	p.Mat = &CSR{N: m.N, RowPtr: m.RowPtr, Col: m.Col}
+	return p
 }
 
 // NumTerms returns the number of recorded terms.

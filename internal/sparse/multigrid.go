@@ -179,18 +179,16 @@ var mgStructCache struct {
 // patternHash is FNV-1a over the CSR row pointers and column indices, mixed
 // one int32 word at a time. It only keys the in-memory structure cache and is
 // never persisted.
-func patternHash(a *CSR) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	mix := func(v int32) {
+func patternHash(a *CSR) uint64 { return fnvWords(fnvWords(fnvOffset, a.RowPtr), a.Col) }
+
+// FNV-1a parameters for fnvWords.
+const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+
+// fnvWords continues the FNV-1a hash h over words, one int32 word at a time.
+func fnvWords(h uint64, words []int32) uint64 {
+	for _, v := range words {
 		h ^= uint64(uint32(v))
-		h *= prime
-	}
-	for _, v := range a.RowPtr {
-		mix(v)
-	}
-	for _, v := range a.Col {
-		mix(v)
+		h *= fnvPrime
 	}
 	return h
 }
@@ -278,17 +276,41 @@ func buildProlongation(lev *mgLevel, nxF, nyF int) {
 // coarsePattern sets lev's Galerkin sparsity pattern, in lev's numbering,
 // from the line-major pattern of the next finer level and lev's
 // interpolation: row I of A_c couples every coarse pair reachable through
-// Pᵀ·A·P, in ascending order.
+// Pᵀ·A·P, in ascending order. A row's pattern is a set that reads only the
+// finer level, so contiguous runs of rows go to min(GOMAXPROCS,
+// n/galerkinGrainRows) workers, each with its own marker and column buffer,
+// and the runs are joined in row order: the pattern does not depend on the
+// split.
 func (lev *mgLevel) coarsePattern(fine *mgLevel) {
+	lev.rowPtr = make([]int32, lev.n+1)
+	w := max(1, min(runtime.GOMAXPROCS(0), lev.n/galerkinGrainRows))
+	parts := make([][]int32, w)
+	var wg sync.WaitGroup
+	for k := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[k] = lev.coarseRows(fine, k*lev.n/w, (k+1)*lev.n/w)
+		}()
+	}
+	wg.Wait()
+	for I := 0; I < lev.n; I++ {
+		lev.rowPtr[I+1] += lev.rowPtr[I]
+	}
+	lev.col = slices.Concat(parts...)
+}
+
+// coarseRows returns the concatenated patterns of rows [lo, hi) and stores
+// each row's length in lev.rowPtr[I+1].
+func (lev *mgLevel) coarseRows(fine *mgLevel, lo, hi int) []int32 {
 	cs, ps := int32(lev.row(0, 1)), int32(lev.row(1, 0))
 	layers := uint32(fine.layers)
-	lev.rowPtr = make([]int32, lev.n+1)
 	marker := make([]int32, lev.n)
 	for i := range marker {
 		marker[i] = -1
 	}
-	cols := make([]int32, 0, 27*lev.n)
-	for I := 0; I < lev.n; I++ {
+	cols := make([]int32, 0, 27*(hi-lo))
+	for I := lo; I < hi; I++ {
 		P, C := lev.pos(I)
 		start := len(cols)
 		for q := lev.ptPtr[C]; q < lev.ptPtr[C+1]; q++ {
@@ -305,9 +327,9 @@ func (lev *mgLevel) coarsePattern(fine *mgLevel) {
 			}
 		}
 		slices.Sort(cols[start:])
-		lev.rowPtr[I+1] = int32(len(cols))
+		lev.rowPtr[I+1] = int32(len(cols) - start)
 	}
-	lev.col = cols
+	return cols
 }
 
 // finePattern sets level 0's pattern from the bound matrix a: a's rows

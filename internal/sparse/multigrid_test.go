@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -480,9 +481,10 @@ func TestMultigridIncrementalRefreshBitIdentical(t *testing.T) {
 }
 
 // TestMultigridBuildBitsAcrossGOMAXPROCS: a full Refresh splits each level's
-// Galerkin rows over min(GOMAXPROCS, marked/galerkinGrainRows) workers, so a
-// fresh hierarchy must hold the same operators, line factors and coarsest
-// Cholesky factor whether it was built on one worker or four.
+// Galerkin rows, and the symbolic build each level's coarse pattern rows,
+// over min(GOMAXPROCS, rows/galerkinGrainRows) workers, so a fresh hierarchy
+// must hold the same patterns, operators, line factors and coarsest Cholesky
+// factor whether it was built on one worker or four.
 func TestMultigridBuildBitsAcrossGOMAXPROCS(t *testing.T) {
 	const g, layers = 64, 4
 	a := grid3D(g, layers)
@@ -492,6 +494,12 @@ func TestMultigridBuildBitsAcrossGOMAXPROCS(t *testing.T) {
 	}
 	old := runtime.GOMAXPROCS(1)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	serialStruct := buildMGStructure(a, stackGeo(g, layers))
+	runtime.GOMAXPROCS(4)
+	if !reflect.DeepEqual(buildMGStructure(a, stackGeo(g, layers)), serialStruct) {
+		t.Error("symbolic hierarchy built on four workers differs from the serial build")
+	}
+	runtime.GOMAXPROCS(1)
 	serial, err := NewMultigrid(a, stackGeo(g, layers))
 	if err != nil {
 		t.Fatal(err)

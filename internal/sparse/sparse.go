@@ -7,11 +7,12 @@
 package sparse
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"tap25d/internal/faultinject"
 )
@@ -64,9 +65,27 @@ func (b *Builder) AddDiag(i int, g float64) {
 // apart from a small per-row sort: entries are bucketed by row with a
 // counting pass, then each row (a handful of stencil entries) is sorted and
 // deduplicated in place.
-func (b *Builder) Build() *CSR {
+func (b *Builder) Build() *CSR { return b.build(nil) }
+
+// entry is one coordinate entry of a row being sorted: its column, its
+// insertion index (the term ID BuildFixed records) and its value.
+type entry struct {
+	col, term int32
+	val       float64
+}
+
+// build assembles the CSR matrix and, when f is non-nil, records in f every
+// term's slot (f.termSlot, len(b.vals) long) and every slot's terms in
+// summation order (appended to f.slotPtr and f.slotTerm).
+//
+// Rows are sorted by slices.SortFunc on the column alone. It runs the same
+// pdqsort as sort.Sort (both are generated from one template), so a row's
+// equal columns are permuted as sort.Sort would permute them, and the
+// summation order of duplicates, which thermal's TestFixedPatternBitsPinned
+// pins, depends on the entry sequence alone.
+func (b *Builder) build(f *Fixed) *CSR {
 	n := b.n
-	// Counting sort by row.
+	// Counting sort by row (stable).
 	count := make([]int32, n+1)
 	for _, r := range b.rows {
 		count[r+1]++
@@ -74,50 +93,48 @@ func (b *Builder) Build() *CSR {
 	for i := 0; i < n; i++ {
 		count[i+1] += count[i]
 	}
-	start := make([]int32, n)
-	copy(start, count[:n])
-	ordCol := make([]int32, len(b.rows))
-	ordVal := make([]float64, len(b.rows))
+	next := append([]int32(nil), count[:n]...)
+	ents := make([]entry, len(b.rows))
 	for k, r := range b.rows {
-		p := start[r]
-		ordCol[p] = b.cols[k]
-		ordVal[p] = b.vals[k]
-		start[r] = p + 1
+		ents[next[r]] = entry{col: b.cols[k], term: int32(k), val: b.vals[k]}
+		next[r]++
 	}
 
 	m := &CSR{N: n, RowPtr: make([]int32, n+1)}
-	m.Col = make([]int32, 0, len(b.rows))
-	m.Val = make([]float64, 0, len(b.rows))
+	m.Col = make([]int32, 0, len(ents))
+	m.Val = make([]float64, 0, len(ents))
 	for i := 0; i < n; i++ {
 		lo, hi := count[i], count[i+1]
-		row := rowView{col: ordCol[lo:hi], val: ordVal[lo:hi]}
-		sort.Sort(row)
+		slices.SortFunc(ents[lo:hi], func(x, y entry) int { return cmp.Compare(x.col, y.col) })
 		var lastC int32 = -1
-		for k := range row.col {
-			if row.col[k] == lastC {
-				m.Val[len(m.Val)-1] += row.val[k]
-				continue
+		for k := lo; k < hi; k++ {
+			e := ents[k]
+			if e.col == lastC {
+				m.Val[len(m.Val)-1] += e.val
+			} else {
+				m.Col = append(m.Col, e.col)
+				m.Val = append(m.Val, e.val)
+				lastC = e.col
+				if f != nil {
+					f.slotPtr = append(f.slotPtr, k)
+				}
 			}
-			m.Col = append(m.Col, row.col[k])
-			m.Val = append(m.Val, row.val[k])
-			lastC = row.col[k]
+			if f != nil {
+				f.termSlot[e.term] = int32(len(m.Val) - 1)
+				f.slotTerm = append(f.slotTerm, e.term)
+			}
 		}
 		m.RowPtr[i+1] = int32(len(m.Col))
 	}
 	return m
 }
 
-// rowView sorts one row's (col, val) pairs by column.
-type rowView struct {
-	col []int32
-	val []float64
-}
-
-func (r rowView) Len() int           { return len(r.col) }
-func (r rowView) Less(i, j int) bool { return r.col[i] < r.col[j] }
-func (r rowView) Swap(i, j int) {
-	r.col[i], r.col[j] = r.col[j], r.col[i]
-	r.val[i], r.val[j] = r.val[j], r.val[i]
+// Grow makes room for n more entries, so a caller that knows its entry count
+// fills the coordinate list without regrowing it.
+func (b *Builder) Grow(n int) {
+	b.rows = slices.Grow(b.rows, n)
+	b.cols = slices.Grow(b.cols, n)
+	b.vals = slices.Grow(b.vals, n)
 }
 
 // Reset clears the builder for reuse without releasing its capacity.

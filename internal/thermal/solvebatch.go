@@ -88,7 +88,7 @@ func (m *Model) SolveBatch(ctx context.Context, specs [][]Source) ([]*Result, er
 	results := make([]*Result, nrhs)
 	var total int64
 	for c := range specs {
-		results[c] = m.buildResult(xs[c], iters[c])
+		results[c] = m.buildResult(xs[c], 1, iters[c])
 		total += int64(iters[c])
 	}
 	if m.ctr != nil {

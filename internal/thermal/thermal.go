@@ -434,6 +434,37 @@ func (m *Model) SolveContext(ctx context.Context, sources []Source) (*Result, er
 	return res, err
 }
 
+// SolveScaled returns the steady-state fields of sources with every power
+// multiplied by scales[c], one Result per scale. Conductances depend on the
+// footprints alone and power enters only the right-hand side, so the model
+// is linear in power: SolveScaled solves the unscaled sources once, through
+// SolveContext (warm start, incremental assembly and recovery ladder
+// included), and returns scales[c] times that temperature rise over the
+// ambient. Every field therefore carries the nominal solve's relative
+// residual, its iteration count and its Recovery; scale 1 is bit-identical
+// to SolveContext and scale 0 is the ambient field. Scales must be finite
+// and non-negative; an empty list runs no solve.
+func (m *Model) SolveScaled(ctx context.Context, sources []Source, scales []float64) ([]*Result, error) {
+	for c, s := range scales {
+		if !(s >= 0) || math.IsInf(s, 1) {
+			return nil, fmt.Errorf("thermal: power scale %d is %v; want a finite non-negative factor", c, s)
+		}
+	}
+	if len(scales) == 0 {
+		return nil, nil
+	}
+	nominal, err := m.SolveContext(ctx, sources)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]*Result, len(scales))
+	for c, s := range scales {
+		results[c] = m.buildResult(m.temps, s, nominal.Iterations)
+		results[c].Recovery = nominal.Recovery
+	}
+	return results, nil
+}
+
 // solveSpanned is the SolveContext body with sp (nil when observability is
 // disabled) as the parent for assemble sub-spans.
 func (m *Model) solveSpanned(ctx context.Context, sp *obs.Span, sources []Source) (*Result, error) {
@@ -617,14 +648,16 @@ func (m *Model) solveAssembled(ctx context.Context, a *sparse.CSR, cg *sparse.CG
 		m.ctr.ThermalSolves++
 		m.ctr.CGIterations += int64(iters)
 	}
-	res := m.buildResult(m.temps, iters)
+	res := m.buildResult(m.temps, 1, iters)
 	res.Recovery = rec
 	return res, nil
 }
 
 // buildResult extracts the chiplet-layer temperature map and its summary
-// statistics from a solved temperature-rise field.
-func (m *Model) buildResult(temps []float64, iters int) *Result {
+// statistics from scale times a solved temperature-rise field. The product
+// is rounded on its own before the ambient is added (no fused multiply-add),
+// so scale 1 reproduces the unscaled field bit for bit.
+func (m *Model) buildResult(temps []float64, scale float64, iters int) *Result {
 	g := m.grid
 	g2 := g * g
 	res := &Result{
@@ -639,7 +672,7 @@ func (m *Model) buildResult(temps []float64, iters int) *Result {
 	pi, pj := 0, 0
 	for i := 0; i < g; i++ {
 		for j := 0; j < g; j++ {
-			t := m.stack.AmbientC + temps[m.devNode(m.chipLayer, i, j)]
+			t := float64(scale*temps[m.devNode(m.chipLayer, i, j)]) + m.stack.AmbientC
 			res.ChipTempC[i*g+j] = t
 			sum += t
 			if t > peak {
@@ -705,12 +738,30 @@ func (m *Model) sprCouplingCond(i, j int) float64 {
 // assemble rebuilds the conductance matrix for the current kChip field.
 func (m *Model) assemble() { m.assembleFull(false) }
 
+// entryCount is the number of coordinate entries assembleFull adds: four per
+// AddSym and one per AddDiag (every conductance is positive, so Add drops
+// none).
+func (m *Model) entryCount() int {
+	g2 := m.grid * m.grid
+	lat := 2 * m.grid * (m.grid - 1)               // east and north couplings of one plane
+	syms := m.nDevLayers*lat + (m.nDevLayers-1)*g2 // device lateral and vertical
+	syms += g2                                     // top device layer to spreader
+	syms += lat + g2                               // spreader lateral, spreader to sink
+	syms += lat                                    // sink lateral
+	diags := g2                                    // sink convection
+	if m.stack.BoardConductance > 0 {
+		diags += g2
+	}
+	return 4*syms + diags
+}
+
 // assembleFull rebuilds the full coordinate list in the builder. With record
 // set, it additionally notes every kChip-dependent entry in m.plan so the
 // delta path can later rewrite exactly those values.
 func (m *Model) assembleFull(record bool) {
 	b := m.builder
 	b.Reset()
+	b.Grow(m.entryCount())
 	g := m.grid
 	cw, ch := m.cellW, m.cellH
 

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 
 	"tap25d/internal/btree"
@@ -594,15 +593,17 @@ func TDPEnvelope(sys *System, p Placement, vary []int, opt Options) (*TDPResult,
 	})
 }
 
-// EvaluateScenarios solves the thermal field of placement p under several
-// power corners in one batched pass: scenario c scales every chiplet's power
-// by powerScales[c]. All corners share one conductance-matrix assembly and —
-// at multigrid grids — one hierarchy, and the right-hand sides are swept
-// together through blocked SpMV, which is substantially faster than solving
-// the corners independently (see BENCH_SOLVER.json). Each returned field is
-// bit-identical to a fresh single-scenario solve of that corner. This is the
-// batch entry the best-of-N service flows use for power-corner screening;
-// honor Options.Context for cancellation.
+// EvaluateScenarios returns the thermal field of placement p under several
+// whole-system power corners: corner c scales every chiplet's power by
+// powerScales[c]. The steady-state model is linear in power (conductances
+// depend on footprints only), so the placement is solved once at nominal
+// power and corner c is exactly powerScales[c] times that temperature rise
+// over the ambient: the 1.0 corner is bit-identical to Evaluate's field, a
+// 0 corner is the ambient field, and every corner carries the nominal
+// solve's residual (it is not bit-identical to a separate solve at that
+// power, which would stop CG at a different iterate). Scales must be finite
+// and non-negative. This is the entry the best-of-N flows and service jobs
+// use for power-corner screening; honor Options.Context for cancellation.
 func EvaluateScenarios(sys *System, p Placement, powerScales []float64, opt Options) ([]*ThermalResult, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
@@ -610,26 +611,11 @@ func EvaluateScenarios(sys *System, p Placement, powerScales []float64, opt Opti
 	if err := sys.CheckPlacement(p); err != nil {
 		return nil, err
 	}
-	for c, s := range powerScales {
-		if s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-			return nil, fmt.Errorf("tap25d: power scale %d is %v; want a finite non-negative factor", c, s)
-		}
-	}
 	model, err := thermal.NewModel(sys.InterposerW, sys.InterposerH, opt.thermalOptions(sys))
 	if err != nil {
 		return nil, err
 	}
-	base := placer.Sources(sys, p)
-	specs := make([][]thermal.Source, len(powerScales))
-	for c, scale := range powerScales {
-		spec := make([]thermal.Source, len(base))
-		copy(spec, base)
-		for k := range spec {
-			spec[k].Power *= scale
-		}
-		specs[c] = spec
-	}
-	return model.SolveBatch(opt.context(), specs)
+	return model.SolveScaled(opt.context(), placer.Sources(sys, p), powerScales)
 }
 
 // EvaluateLiquid scores placement p under microchannel liquid cooling
