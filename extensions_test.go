@@ -1,8 +1,11 @@
 package tap25d
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
+	"time"
 )
 
 func TestAnalyzeLinks(t *testing.T) {
@@ -92,6 +95,22 @@ func TestTransientFacade(t *testing.T) {
 	}
 	if _, err := Transient(sys, p, -1, 5, Options{ThermalGrid: 16}); err == nil {
 		t.Error("negative dt accepted")
+	}
+}
+
+// TestTransientHonoursContext: a canceled Options.Context stops a long
+// transient promptly with context.Canceled instead of running every step.
+func TestTransientHonoursContext(t *testing.T) {
+	sys, _ := BuiltinSystem("ascend910")
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(100*time.Millisecond, cancel)
+	start := time.Now()
+	_, err := Transient(sys, Ascend910OriginalPlacement(), 0.001, 1_000_000, Options{ThermalGrid: 32, Context: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("canceled transient returned after %v", d)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"tap25d/internal/geom"
 )
@@ -104,9 +105,10 @@ func (s *System) TotalWires() int {
 	return w
 }
 
-// Validate checks the static description (not a placement).
+// Validate checks the static description (not a placement). Every number
+// must be finite, and so must the total power and the total wire count.
 func (s *System) Validate() error {
-	if s.InterposerW <= 0 || s.InterposerH <= 0 {
+	if !(s.InterposerW > 0) || !(s.InterposerH > 0) {
 		return fmt.Errorf("chiplet: system %q: non-positive interposer dimensions", s.Name)
 	}
 	if s.InterposerW > MaxInterposerEdge+1e-9 || s.InterposerH > MaxInterposerEdge+1e-9 {
@@ -117,11 +119,11 @@ func (s *System) Validate() error {
 	}
 	var area float64
 	for i, c := range s.Chiplets {
-		if c.W <= 0 || c.H <= 0 {
+		if !(c.W > 0) || !(c.H > 0) {
 			return fmt.Errorf("chiplet: system %q: chiplet %d (%s) has non-positive dimensions", s.Name, i, c.Name)
 		}
-		if c.Power < 0 {
-			return fmt.Errorf("chiplet: system %q: chiplet %d (%s) has negative power", s.Name, i, c.Name)
+		if !(c.Power >= 0) || math.IsInf(c.Power, 1) {
+			return fmt.Errorf("chiplet: system %q: chiplet %d (%s) power %v is not a finite non-negative number", s.Name, i, c.Name, c.Power)
 		}
 		if c.W > s.InterposerW && c.H > s.InterposerW || c.W > s.InterposerH && c.H > s.InterposerH {
 			return fmt.Errorf("chiplet: system %q: chiplet %d (%s) larger than interposer in both orientations", s.Name, i, c.Name)
@@ -132,6 +134,10 @@ func (s *System) Validate() error {
 		return fmt.Errorf("chiplet: system %q: total chiplet area %.1f mm² exceeds interposer area %.1f mm²",
 			s.Name, area, s.InterposerW*s.InterposerH)
 	}
+	if p := s.TotalPower(); math.IsInf(p, 1) {
+		return fmt.Errorf("chiplet: system %q: total power overflows (chiplet power values sum to %v)", s.Name, p)
+	}
+	wires := 0
 	for i, ch := range s.Channels {
 		if ch.Src < 0 || ch.Src >= len(s.Chiplets) || ch.Dst < 0 || ch.Dst >= len(s.Chiplets) {
 			return fmt.Errorf("chiplet: system %q: channel %d references unknown chiplet", s.Name, i)
@@ -142,6 +148,10 @@ func (s *System) Validate() error {
 		if ch.Wires <= 0 {
 			return fmt.Errorf("chiplet: system %q: channel %d has non-positive wire count", s.Name, i)
 		}
+		if ch.Wires > math.MaxInt-wires {
+			return fmt.Errorf("chiplet: system %q: total wires overflow at channel %d", s.Name, i)
+		}
+		wires += ch.Wires
 	}
 	return nil
 }

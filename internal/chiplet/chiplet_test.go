@@ -80,12 +80,36 @@ func TestValidateRejections(t *testing.T) {
 		{"bad channel src", func(s *System) { s.Channels[0].Src = 9 }},
 		{"self loop", func(s *System) { s.Channels[0].Dst = 0 }},
 		{"zero wires", func(s *System) { s.Channels[0].Wires = 0 }},
+		{"NaN interposer", func(s *System) { s.InterposerH = math.NaN() }},
+		{"NaN chiplet height", func(s *System) { s.Chiplets[1].H = math.NaN() }},
+		{"NaN power", func(s *System) { s.Chiplets[0].Power = math.NaN() }},
+		{"infinite power", func(s *System) { s.Chiplets[1].Power = math.Inf(1) }},
+		{"total power overflow", func(s *System) { s.Chiplets[0].Power, s.Chiplets[1].Power = 1e308, 1e308 }},
+		{"total wires overflow", func(s *System) {
+			s.Channels = append(s.Channels, Channel{Src: 1, Dst: 0, Wires: math.MaxInt})
+		}},
 	}
 	for _, c := range cases {
 		s := twoChipSystem()
 		c.mut(s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", c.name)
+		}
+	}
+}
+
+// TestDecodeJSONRejectsOverflow: JSON cannot spell NaN or infinity, but
+// finite values can still sum past the float64 and int ranges. Each such
+// system is rejected with an error that names the field.
+func TestDecodeJSONRejectsOverflow(t *testing.T) {
+	for _, c := range []struct{ name, json, field string }{
+		{"total power", `{"name":"x","interposer_w":20,"interposer_h":20,"chiplets":[{"name":"a","w":4,"h":4,"power":1e308},{"name":"b","w":4,"h":4,"power":1e308}],"channels":[{"src":0,"dst":1,"wires":10}]}`, "total power"},
+		{"total wires", `{"name":"x","interposer_w":20,"interposer_h":20,"chiplets":[{"name":"a","w":4,"h":4,"power":1},{"name":"b","w":4,"h":4,"power":1}],"channels":[{"src":0,"dst":1,"wires":9223372036854775807},{"src":1,"dst":0,"wires":1}]}`, "total wires"},
+		{"power out of range", `{"name":"x","interposer_w":20,"interposer_h":20,"chiplets":[{"name":"a","w":4,"h":4,"power":1e400}],"channels":[]}`, "power"},
+	} {
+		_, err := DecodeJSON(strings.NewReader(c.json))
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.field)
 		}
 	}
 }
@@ -233,4 +257,32 @@ func TestDecodeJSONRejectsInvalid(t *testing.T) {
 	if _, err := DecodeJSON(strings.NewReader(`{not json`)); err == nil {
 		t.Error("malformed JSON decoded without error")
 	}
+}
+
+// FuzzDecodeSystem feeds arbitrary bytes to DecodeJSON, the system JSON
+// decode boundary. It must never panic, and whatever it accepts must have a
+// finite total power and a non-negative total wire count and must validate
+// again after an encode/decode round trip. The seed corpus in
+// testdata/fuzz/FuzzDecodeSystem holds the built-in systems (EncodeJSON) and
+// testdata/edge_ai.json; every crasher found becomes a corpus entry there.
+func FuzzDecodeSystem(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if p := s.TotalPower(); math.IsNaN(p) || math.IsInf(p, 0) {
+			t.Fatalf("accepted a system with total power %v", p)
+		}
+		if w := s.TotalWires(); w < 0 {
+			t.Fatalf("accepted a system with total wires %d", w)
+		}
+		var buf bytes.Buffer
+		if err := s.EncodeJSON(&buf); err != nil {
+			t.Fatalf("encoding an accepted system: %v", err)
+		}
+		if _, err := DecodeJSON(&buf); err != nil {
+			t.Fatalf("accepted system fails after a round trip: %v", err)
+		}
+	})
 }

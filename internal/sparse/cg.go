@@ -256,6 +256,11 @@ func (s *CGSolver) SolveContext(ctx context.Context, x, b []float64, opt CGOptio
 		rnorm0 += r[i] * r[i]
 	}
 	bnorm = math.Sqrt(bnorm)
+	if math.IsInf(bnorm, 0) || math.IsNaN(bnorm) {
+		// Every residual would pass the relative test against an infinite
+		// norm, so the initial guess would come back as the answer.
+		return 0, fmt.Errorf("sparse: right-hand side norm is %v; want a finite right-hand side", bnorm)
+	}
 	if opt.OnIteration != nil {
 		opt.OnIteration(0, math.Sqrt(rnorm0))
 	}

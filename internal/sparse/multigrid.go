@@ -43,6 +43,12 @@ import (
 //     backward sweeps are A-adjoints of each other and block GS is
 //     unconditionally A-norm convergent for SPD matrices, so the V-cycle is
 //     symmetric positive definite with no damping parameter to tune;
+//   - from grid 128 up (splitMinGrid), a two-block split of every level at
+//     in-plane row ny/2: each block sweeps its own columns in the same
+//     order and lags only its couplings across the cut, so the two blocks
+//     of every pass of the cycle run on two goroutines. The forward and
+//     backward two-block sweeps are still each other's A-adjoints. Below
+//     grid 128 block 1 is empty and the sweeps are the lexicographic ones;
 //   - a dense Cholesky solve at the coarsest level, falling back to a fixed
 //     number of symmetric Gauss-Seidel sweeps when coarsening stalls early
 //     (odd dimensions) and the coarsest system is too large to factor.
@@ -54,8 +60,8 @@ import (
 // layer-major numbering once per cycle. The coarsest level keeps the
 // layer-major numbering its dense factorization or GS fallback runs in.
 // Each row's entries are in ascending column order, so a smoothed-level row
-// reads [earlier columns | own column | later columns] and each pass of the
-// cycle reads only the part it needs (forwardSweep, sweepDefect,
+// reads [earlier columns | own column | later columns] (rowSplit) and each
+// pass of the cycle reads only the part it needs (forwardSweep, sweepDefect,
 // backwardSweep).
 //
 // The expensive symbolic work — interpolation weights, coarse sparsity
@@ -106,13 +112,21 @@ type mgLevel struct {
 	// to the bound matrix's), and per-row entry slots: diagSlot, upSlot and
 	// dnSlot are the value-slot indices of a row's diagonal and of its
 	// couplings to the same column one layer up and one layer down (-1 when
-	// absent), the line smoother's tridiagonal blocks. On line-major levels a
-	// row's own-column entries are slots [lEnd, uStart); skip reports one
-	// that skips a layer, which the line solve leaves on the right-hand side.
+	// absent), the line smoother's tridiagonal blocks. On line-major levels
+	// split cuts each row's slots; skip reports an own-column entry that
+	// skips a layer, which the line solve leaves on the right-hand side.
 	rowPtr, col, src         []int32
 	diagSlot, upSlot, dnSlot []int32
-	lEnd, uStart             []int32
+	split                    []rowSplit
 	skip                     bool
+
+	// Two-block split (see splitMinGrid). In-plane columns [0, cut) form
+	// block 0 and [cut, nx·ny) block 1; cut is nx·ny, leaving block 1 empty,
+	// in a hierarchy that is not split. The transfers halve every level's
+	// columns at cut. Rows [xLo, xHi) hold every row with a coupling across
+	// the cut; the range is empty in a one-block level.
+	cut      int
+	xLo, xHi int
 
 	// Prolongation P from this (coarse) level to the next finer level, per
 	// in-plane column: fine column f's ≤4 coarse parent columns and bilinear
@@ -124,6 +138,15 @@ type mgLevel struct {
 	ptPtr, ptCol []int32
 	ptW          []float64
 }
+
+// rowSplit cuts a line-major row's slots, in ascending column order, into
+// [cross lower | lower | own column | upper | cross upper] at lStart, lEnd,
+// uStart and uEnd: its couplings to earlier columns of the other block, to
+// earlier columns of its own block, to its own column, to later columns of
+// its own block, and to later columns of the other block. Only block-1 rows
+// have cross-lower slots and only block-0 rows cross-upper ones, so in a
+// one-block level lStart and uEnd are the row's bounds.
+type rowSplit struct{ lStart, lEnd, uStart, uEnd int32 }
 
 // row returns the row of layer p of in-plane column c.
 func (lev *mgLevel) row(p, c int) int {
@@ -140,6 +163,20 @@ func (lev *mgLevel) pos(i int) (p, c int) {
 	}
 	nxy := lev.nx * lev.ny
 	return i / nxy, i % nxy
+}
+
+// cols returns block h's in-plane columns [lo, hi).
+func (lev *mgLevel) cols(h int) (lo, hi int) {
+	if h == 0 {
+		return 0, lev.cut
+	}
+	return lev.cut, lev.nx * lev.ny
+}
+
+// rows returns block h's rows [lo, hi) on a line-major level.
+func (lev *mgLevel) rows(h int) (lo, hi int) {
+	lo, hi = lev.cols(h)
+	return lo * lev.layers, hi * lev.layers
 }
 
 // mgStructure is the full symbolic hierarchy for one (geometry, pattern)
@@ -373,8 +410,10 @@ func (lev *mgLevel) findSlots() {
 	lev.upSlot = make([]int32, lev.n)
 	lev.dnSlot = make([]int32, lev.n)
 	if lev.line {
-		lev.lEnd, lev.uStart = make([]int32, lev.n), make([]int32, lev.n)
+		lev.split = make([]rowSplit, lev.n)
 	}
+	cutRow := int32(lev.cut * lev.layers)
+	lev.xLo, lev.xHi = int(cutRow), int(cutRow)
 	ps := int32(lev.row(1, 0)) // row stride between layers
 	for i := range lev.diagSlot {
 		lo, cols := lev.rowPtr[i], lev.col[lev.rowPtr[i]:lev.rowPtr[i+1]]
@@ -396,7 +435,17 @@ func (lev *mgLevel) findSlots() {
 		if lev.line {
 			e, _ := slices.BinarySearch(cols, first)
 			u, _ := slices.BinarySearch(cols, end)
-			lev.lEnd[i], lev.uStart[i] = lo+int32(e), lo+int32(u)
+			x, _ := slices.BinarySearch(cols, cutRow)
+			sp := rowSplit{lStart: lo, lEnd: lo + int32(e), uStart: lo + int32(u), uEnd: lev.rowPtr[i+1]}
+			if int32(i) >= cutRow {
+				sp.lStart = lo + int32(x)
+			} else {
+				sp.uEnd = lo + int32(x)
+			}
+			if sp.lStart > lo || sp.uEnd < lev.rowPtr[i+1] {
+				lev.xLo, lev.xHi = min(lev.xLo, i), max(lev.xHi, i+1)
+			}
+			lev.split[i] = sp
 		}
 	}
 }
@@ -430,9 +479,13 @@ func mgStructureFor(a *CSR, geo GridGeometry) *mgStructure {
 func buildMGStructure(a *CSR, geo GridGeometry) *mgStructure {
 	s := &mgStructure{geo: geo}
 	nx, ny := geo.Nx, geo.Ny
+	split := geo.Nx >= splitMinGrid && geo.Ny >= splitMinGrid
 	var fine *mgLevel
 	for {
-		lev := &mgLevel{nx: nx, ny: ny, n: geo.Layers * nx * ny, layers: geo.Layers, line: canCoarsen(nx, ny)}
+		lev := &mgLevel{nx: nx, ny: ny, n: geo.Layers * nx * ny, layers: geo.Layers, line: canCoarsen(nx, ny), cut: nx * ny}
+		if split {
+			lev.cut = nx * (ny / 2)
+		}
 		if fine == nil {
 			lev.finePattern(a)
 		} else {
@@ -467,10 +520,16 @@ type mgLevelData struct {
 // mgCycle is the scratch one V-cycle writes: per level, r and z for the
 // level's defect and correction (level 0 holds the permuted r and z of
 // Apply) and t for the residual (every level but the coarsest), plus line,
-// one column's values (Layers long) for line solves and transfers.
+// one column's values (Layers long) per block for line solves and
+// transfers. A forked cycle also hands its passes to a helper
+// through pass, posted and done (see run).
 type mgCycle struct {
 	r, z, t [][]float64
-	line    []float64
+	line    [2][]float64
+
+	forked       bool
+	pass         func(h int)
+	posted, done atomic.Uint32
 }
 
 // galerkinGrainRows is the fewest marked rows of one level that Refresh
@@ -791,25 +850,111 @@ func (mg *Multigrid) Apply(z, r []float64) {
 	defer mg.putCycle(c)
 	lev, r0, z0 := mg.s.levels[0], c.r[0], c.z[0]
 	nxy := lev.nx * lev.ny
+	if lev.cut < nxy && runtime.GOMAXPROCS(0) > 1 {
+		c.fork()
+		defer c.join()
+	}
 	cs, ps := lev.row(0, 1), lev.row(1, 0)
-	for p := 0; p < lev.layers; p++ {
-		for i := 0; i < nxy; i++ {
-			r0[i*cs+p*ps] = r[p*nxy+i]
+	c.run(func(h int) {
+		lo, hi := lev.cols(h)
+		for p := 0; p < lev.layers; p++ {
+			for i := lo; i < hi; i++ {
+				r0[i*cs+p*ps] = r[p*nxy+i]
+			}
+		}
+	})
+	mg.vcycle(c, 0)
+	c.run(func(h int) {
+		lo, hi := lev.cols(h)
+		for p := 0; p < lev.layers; p++ {
+			for i := lo; i < hi; i++ {
+				z[p*nxy+i] = z0[i*cs+p*ps]
+			}
+		}
+	})
+}
+
+// splitMinGrid is the smallest in-plane grid, in both directions, whose
+// hierarchy is split into two blocks. The split is a fixed rule on the
+// geometry, so it never depends on GOMAXPROCS and neither do the bits. It
+// costs a few CG iterations where it lags a coupling, so it only pays where
+// one V-cycle is long enough to keep a second core busy: a grid-128 cycle
+// is, while at grid 64 a second busy flow usually holds the other core.
+const splitMinGrid = 128
+
+// spinPolls is how many times a worker polls for the other half before it
+// also yields its processor on every poll.
+const spinPolls = 1 << 10
+
+// fork starts the helper goroutine that runs block 1 of every pass of c
+// until join. Without it both blocks run on the calling goroutine; which
+// goroutine runs a block changes no bit.
+func (c *mgCycle) fork() {
+	c.forked = true
+	c.posted.Store(0)
+	c.done.Store(0)
+	go c.help()
+}
+
+// join stops the helper that fork started.
+func (c *mgCycle) join() {
+	c.run(nil)
+	c.forked = false
+}
+
+// run runs one pass of the cycle over both blocks and returns when both are
+// done: block 0 on the calling goroutine and block 1 on the helper when c is
+// forked, both in order on the caller otherwise. A nil pass stops the
+// helper.
+func (c *mgCycle) run(pass func(h int)) {
+	if !c.forked {
+		pass(0)
+		pass(1)
+		return
+	}
+	c.pass = pass
+	seq := c.posted.Add(1)
+	if pass != nil {
+		pass(0)
+	}
+	for n := 0; c.done.Load() != seq; n++ {
+		pause(n)
+	}
+}
+
+// help runs block 1 of every pass that run posts, until the nil pass.
+func (c *mgCycle) help() {
+	for seq := uint32(1); ; seq++ {
+		for n := 0; c.posted.Load() != seq; n++ {
+			pause(n)
+		}
+		pass := c.pass
+		if pass != nil {
+			pass(1)
+		}
+		c.done.Store(seq)
+		if pass == nil {
+			return
 		}
 	}
-	mg.vcycle(c, 0)
-	for p := 0; p < lev.layers; p++ {
-		for i := 0; i < nxy; i++ {
-			z[p*nxy+i] = z0[i*cs+p*ps]
-		}
+}
+
+// pause is poll n of a wait for the other half: a bare poll at first, since
+// the halves take about equally long, then a yield, so a half that is not
+// running gets the processor.
+func pause(n int) {
+	if n >= spinPolls {
+		runtime.Gosched()
 	}
 }
 
 // newCycle allocates one V-cycle's scratch for mg's hierarchy.
 func (mg *Multigrid) newCycle() *mgCycle {
 	n := len(mg.s.levels)
-	c := &mgCycle{r: make([][]float64, n), z: make([][]float64, n), t: make([][]float64, n),
-		line: make([]float64, mg.s.geo.Layers)}
+	c := &mgCycle{r: make([][]float64, n), z: make([][]float64, n), t: make([][]float64, n)}
+	for h := range c.line {
+		c.line[h] = make([]float64, mg.s.geo.Layers)
+	}
 	for l, lev := range mg.s.levels {
 		c.r[l], c.z[l] = make([]float64, lev.n), make([]float64, lev.n)
 		if l < n-1 {
@@ -843,7 +988,15 @@ func (mg *Multigrid) putCycle(c *mgCycle) {
 // pre-smooth from a zero guess, restricted-defect coarse correction, backward
 // line-GS post-smooth. The backward sweep is the A-adjoint of the forward one
 // and R = Pᵀ, so the cycle is a symmetric positive-definite operator, which
-// is what lets it sit inside PCG.
+// is what lets it sit inside PCG. Every pass runs per block (c.run); the
+// coarsest solve runs on the caller between passes.
+//
+// In a split hierarchy each block sweeps its own columns and lags its
+// couplings to the other block: the pre-smooth reads them at the zero
+// guess, and the post-smooth at their values before it starts, which
+// lagCross folds into r, so the sweeps are two-block (hybrid) Gauss-Seidel
+// and each other's A-adjoints. The transfers read across the cut, so every
+// pass waits for the previous one on both blocks.
 func (mg *Multigrid) vcycle(c *mgCycle, l int) {
 	d, z, r := &mg.lv[l], c.z[l], c.r[l]
 	if l == len(mg.lv)-1 {
@@ -854,22 +1007,30 @@ func (mg *Multigrid) vcycle(c *mgCycle, l int) {
 		}
 		return
 	}
-	t := c.t[l]
-	mg.forwardSweep(l, z, r)
-	mg.sweepDefect(l, t, z)
-	mg.restrict(l+1, c.r[l+1], t, c.line)
+	lev, coarse, t := mg.s.levels[l], mg.s.levels[l+1], c.t[l]
+	c.run(func(h int) { mg.forwardSweep(l, h, z, r) })
+	c.run(func(h int) { mg.sweepDefect(l, h, t, z) })
+	c.run(func(h int) {
+		lo, hi := coarse.cols(h)
+		mg.restrict(l+1, lo, hi, c.r[l+1], t, c.line[h])
+	})
 	mg.vcycle(c, l+1)
-	mg.prolongAdd(l+1, z, c.z[l+1], c.line)
-	mg.backwardSweep(l, z, r, c.line)
+	c.run(func(h int) {
+		lo, hi := lev.cols(h)
+		mg.prolongAdd(l+1, lo, hi, z, c.z[l+1], c.line[h])
+	})
+	c.run(func(h int) { mg.lagCross(l, h, r, z) })
+	c.run(func(h int) { mg.backwardSweep(l, h, z, r, c.line[h]) })
 }
 
-// restrict computes level l's defect rc = Pᵀ·tf from the line-major level
-// l-1 defect tf, one coarse column at a time: each of the column's layers
-// sums its children in list order, in acc (Layers long).
-func (mg *Multigrid) restrict(l int, rc, tf, acc []float64) {
+// restrict computes coarse columns [lo, hi) of level l's defect rc = Pᵀ·tf
+// from the line-major level l-1 defect tf, one coarse column at a time: each
+// of the column's layers sums its children in list order, in acc (Layers
+// long).
+func (mg *Multigrid) restrict(l, lo, hi int, rc, tf, acc []float64) {
 	lev := mg.s.levels[l]
 	cs, ps := lev.row(0, 1), lev.row(1, 0)
-	for C := 0; C < lev.nx*lev.ny; C++ {
+	for C := lo; C < hi; C++ {
 		clear(acc)
 		for q := lev.ptPtr[C]; q < lev.ptPtr[C+1]; q++ {
 			w := lev.ptW[q]
@@ -884,12 +1045,13 @@ func (mg *Multigrid) restrict(l int, rc, tf, acc []float64) {
 	}
 }
 
-// prolongAdd adds the prolonged level-l correction P·zc to the line-major
-// level l-1 vector zf, one fine column at a time, accumulating in acc.
-func (mg *Multigrid) prolongAdd(l int, zf, zc, acc []float64) {
+// prolongAdd adds the prolonged level-l correction P·zc to fine columns
+// [lo, hi) of the line-major level l-1 vector zf, one fine column at a time,
+// accumulating in acc.
+func (mg *Multigrid) prolongAdd(l, lo, hi int, zf, zc, acc []float64) {
 	lev := mg.s.levels[l]
 	cs, ps := lev.row(0, 1), lev.row(1, 0)
-	for f := 0; f < len(lev.pPtr)-1; f++ {
+	for f := lo; f < hi; f++ {
 		clear(acc)
 		for q := lev.pPtr[f]; q < lev.pPtr[f+1]; q++ {
 			w, base := lev.pW[q], int(lev.pCol[q])*cs
@@ -904,48 +1066,75 @@ func (mg *Multigrid) prolongAdd(l int, zf, zc, acc []float64) {
 	}
 }
 
-// forwardSweep is the pre-smooth: one vertical-line block Gauss-Seidel sweep
-// over the line-major level l from a zero guess, in in-plane column order,
-// solving each column's tridiagonal block (LDLᵀ factors from Refresh)
-// straight into z. Under a zero guess later columns and the column itself
-// contribute nothing, so a right-hand side reads only the couplings to
-// earlier columns and z needs no clearing.
-func (mg *Multigrid) forwardSweep(l int, z, r []float64) {
+// forwardSweep is the pre-smooth of block h: one vertical-line block
+// Gauss-Seidel sweep over the block's columns of the line-major level l from
+// a zero guess, in in-plane column order, solving each column's tridiagonal
+// block (LDLᵀ factors from Refresh) straight into z. Under a zero guess
+// later columns, the column itself and the other block contribute nothing,
+// so a right-hand side reads only the couplings to earlier columns of the
+// same block and z needs no clearing.
+func (mg *Multigrid) forwardSweep(l, h int, z, r []float64) {
 	lev, d := mg.s.levels[l], &mg.lv[l]
 	a := d.a
-	for base := 0; base < len(z); base += lev.layers {
+	lo, hi := lev.rows(h)
+	for base := lo; base < hi; base += lev.layers {
 		t := z[base:][:lev.layers]
 		for p := range t {
 			i := base + p
-			t[p] = subDot(r[i], a, a.RowPtr[i], lev.lEnd[i], z)
+			s := &lev.split[i]
+			t[p] = subDot(r[i], a, s.lStart, s.lEnd, z)
 		}
 		d.solveLine(base, t)
 	}
 }
 
-// sweepDefect computes the defect t = r − A·z left by forwardSweep. Each
-// column's block has been solved exactly against its couplings to earlier
-// columns, so t = −U·z over the later-column couplings U, less the skip
-// entries' terms.
-func (mg *Multigrid) sweepDefect(l int, t, z []float64) {
+// sweepDefect computes block h's rows of the defect t = r − A·z left by
+// forwardSweep. Each column's block has been solved exactly against its
+// couplings to earlier columns of its own block, so t = −U·z over the
+// later-column couplings U, less the skip entries' terms and the couplings
+// to earlier columns of the other block.
+func (mg *Multigrid) sweepDefect(l, h int, t, z []float64) {
 	lev, a := mg.s.levels[l], mg.lv[l].a
-	for i := range t {
-		t[i] = subDot(lev.subSkip(0, a, i, z), a, lev.uStart[i], a.RowPtr[i+1], z)
+	lo, hi := lev.rows(h)
+	for i := lo; i < hi; i++ {
+		s := &lev.split[i]
+		acc := subDot(lev.subSkip(0, a, i, z), a, s.uStart, a.RowPtr[i+1], z)
+		if s.lStart > a.RowPtr[i] {
+			acc = subDot(acc, a, a.RowPtr[i], s.lStart, z)
+		}
+		t[i] = acc
 	}
 }
 
-// backwardSweep is the post-smooth: the same sweep in exactly the reverse
-// column order, which makes it forwardSweep's A-adjoint, with right-hand
-// sides that read every coupling outside the block at its latest value. t is
-// one column's scratch.
-func (mg *Multigrid) backwardSweep(l int, z, r, t []float64) {
+// lagCross subtracts block h's couplings across the cut from r, at z's
+// values after the prolongation: the post-smooth lags them, and folding
+// them into r before either block sweeps keeps the other block's updates
+// out of them. r is the post-smooth's own right-hand side, which nothing
+// reads after it.
+func (mg *Multigrid) lagCross(l, h int, r, z []float64) {
+	lev, a := mg.s.levels[l], mg.lv[l].a
+	lo, hi := lev.rows(h)
+	for i := max(lo, lev.xLo); i < min(hi, lev.xHi); i++ {
+		s := &lev.split[i]
+		r[i] = subDot(subDot(r[i], a, a.RowPtr[i], s.lStart, z), a, s.uEnd, a.RowPtr[i+1], z)
+	}
+}
+
+// backwardSweep is the post-smooth of block h: the same sweep in exactly the
+// reverse column order, which makes it forwardSweep's A-adjoint, with
+// right-hand sides that read every coupling within the block outside the
+// line at its latest value (lagCross has taken the couplings across the
+// cut). t is one column's scratch.
+func (mg *Multigrid) backwardSweep(l, h int, z, r, t []float64) {
 	lev, d := mg.s.levels[l], &mg.lv[l]
 	a := d.a
-	for base := len(z) - lev.layers; base >= 0; base -= lev.layers {
+	lo, hi := lev.rows(h)
+	for base := hi - lev.layers; base >= lo; base -= lev.layers {
 		for p := range t {
 			i := base + p
-			acc := lev.subSkip(subDot(r[i], a, a.RowPtr[i], lev.lEnd[i], z), a, i, z)
-			t[p] = subDot(acc, a, lev.uStart[i], a.RowPtr[i+1], z)
+			s := &lev.split[i]
+			acc := lev.subSkip(subDot(r[i], a, s.lStart, s.lEnd, z), a, i, z)
+			t[p] = subDot(acc, a, s.uStart, s.uEnd, z)
 		}
 		d.solveLine(base, t)
 		for p, v := range t {
@@ -971,7 +1160,7 @@ func (lev *mgLevel) subSkip(acc float64, a *CSR, i int, x []float64) float64 {
 	if !lev.skip {
 		return acc
 	}
-	for k := lev.lEnd[i]; k < lev.uStart[i]; k++ {
+	for k := lev.split[i].lEnd; k < lev.split[i].uStart; k++ {
 		if k != lev.diagSlot[i] && k != lev.upSlot[i] && k != lev.dnSlot[i] {
 			acc -= a.Val[k] * x[a.Col[k]]
 		}

@@ -704,9 +704,10 @@ func unsplitApply(mg *Multigrid, z, r []float64) {
 			t[i] = r[i] - t[i]
 		}
 		acc := make([]float64, mg.s.geo.Layers)
-		mg.restrict(l+1, rs[l+1], t, acc)
+		coarse, fine := mg.s.levels[l+1], mg.s.levels[l]
+		mg.restrict(l+1, 0, coarse.nx*coarse.ny, rs[l+1], t, acc)
 		cycle(l + 1)
-		mg.prolongAdd(l+1, z, zs[l+1], acc)
+		mg.prolongAdd(l+1, 0, fine.nx*fine.ny, z, zs[l+1], acc)
 		unsplitSweep(mg, l, z, r, true)
 	}
 	cycle(0)
@@ -748,7 +749,7 @@ func unsplitSweep(mg *Multigrid, l int, z, r []float64, backward bool) {
 
 // TestMultigridSplitRowLayout: every smoothed level stores each row in
 // ascending column order, split as [earlier columns | own column | later
-// columns] at lEnd and uStart, with the tridiagonal entries inside the own
+// columns] at split's lEnd and uStart, with the tridiagonal entries inside the own
 // column; level 0's slot map points each entry at its bound-matrix slot; and
 // the V-cycle that reads only the parts each sweep needs matches the unsplit
 // reference. skipStack's layer-skip coupling is the one entry that sits in
@@ -776,7 +777,7 @@ func TestMultigridSplitRowLayout(t *testing.T) {
 					t.Errorf("level %d: skip = %v, want %v", l, lev.skip, tc.skip)
 				}
 				for i := 0; i < lev.n; i++ {
-					lo, hi, e, u := lev.rowPtr[i], lev.rowPtr[i+1], lev.lEnd[i], lev.uStart[i]
+					lo, hi, e, u := lev.rowPtr[i], lev.rowPtr[i+1], lev.split[i].lEnd, lev.split[i].uStart
 					first, end := int32(i-i%lev.layers), int32(i-i%lev.layers+lev.layers)
 					for k := lo; k < hi; k++ {
 						j := lev.col[k]
@@ -825,5 +826,62 @@ func TestMultigridSplitRowLayout(t *testing.T) {
 				t.Fatalf("V-cycle deviates from the unsplit reference by %.3g (relative)", d/s)
 			}
 		})
+	}
+}
+
+// TestTwoBlockCycleBitsAcrossGOMAXPROCS: a grid-128 hierarchy is split into
+// two blocks, and at GOMAXPROCS above 1 a cycle runs block 1 on a helper
+// goroutine. The split alone fixes every row's arithmetic, so a cycle must
+// give the same bits at GOMAXPROCS 1, 2 and 4, and with several cycles at
+// once on one hierarchy.
+func TestTwoBlockCycleBitsAcrossGOMAXPROCS(t *testing.T) {
+	const g, layers, cols = 128, 4, 4
+	a := grid3D(g, layers)
+	rng := rand.New(rand.NewSource(5))
+	for k := 0; k < 8; k++ {
+		localMove(t, a, g, layers, rng)
+	}
+	mg, err := NewMultigrid(a, stackGeo(g, layers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, lev := range mg.s.levels {
+		if want := lev.nx * lev.ny / 2; lev.cut != want {
+			t.Fatalf("level %d: block 1 starts at column %d, want %d", l, lev.cut, want)
+		}
+	}
+	rs := make([][]float64, cols)
+	for c := range rs {
+		rs[c] = make([]float64, a.N)
+		for i := range rs[c] {
+			rs[c][i] = rng.NormFloat64()
+		}
+	}
+	old := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	want := make([][]float64, cols)
+	for c := range rs {
+		want[c] = make([]float64, a.N)
+		mg.Apply(want[c], rs[c])
+	}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := make([]float64, a.N)
+		mg.Apply(got, rs[0])
+		sameBits(t, fmt.Sprintf("GOMAXPROCS %d", procs), got, want[0])
+		var wg sync.WaitGroup
+		gots := make([][]float64, cols)
+		for c := range rs {
+			gots[c] = make([]float64, a.N)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				mg.Apply(gots[c], rs[c])
+			}()
+		}
+		wg.Wait()
+		for c := range rs {
+			sameBits(t, fmt.Sprintf("GOMAXPROCS %d, concurrent column %d", procs, c), gots[c], want[c])
+		}
 	}
 }

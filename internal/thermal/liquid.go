@@ -119,7 +119,7 @@ func (m *Model) SolveLiquid(sources []Source, lc LiquidCooling) (*Result, error)
 	}
 	m.warm = false // liquid scratch state must not warm-start air solves
 
-	return m.buildResult(t, 1, iters), nil
+	return m.buildResult(t, 1, iters)
 }
 
 // assembleLiquid mirrors assemble but ends the stack in a cold plate: the

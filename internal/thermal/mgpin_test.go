@@ -36,19 +36,21 @@ func applyBitsHash(mg *sparse.Multigrid, r []float64) uint64 {
 // purpose re-pins the hashes once, after TestSplitSmootherAgreesWithUnsplitCycle
 // shows it is the same operator. The grids cover each hierarchy shape: 16
 // and 64 coarsen to a 4×4 Cholesky level, 17 cannot coarsen (one level, GS
-// fallback), and 24 ends at a 6×6 Cholesky level. Each grid is hashed after
+// fallback), 24 ends at a 6×6 Cholesky level, and 128 is split into two
+// blocks (TestTwoBlockCycleMatchesReference). Each grid is hashed after
 // the first solve and again after one chiplet move, whose solve refreshes
 // the hierarchy incrementally.
 func TestMultigridApplyBitsPinned(t *testing.T) {
 	want := map[int][2]uint64{
-		16: {0x834fd70f3cf2130f, 0x956a664ad9a94b9d},
-		17: {0x325f665cafd4d7c4, 0x1539cd6e18c70225},
-		24: {0xa1f9ee4726f1a27c, 0x8e0c78aa74c11d84},
-		64: {0xd0b98217962eac20, 0x9d1fdd8cb851f7a7},
+		16:  {0x834fd70f3cf2130f, 0x956a664ad9a94b9d},
+		17:  {0x325f665cafd4d7c4, 0x1539cd6e18c70225},
+		24:  {0xa1f9ee4726f1a27c, 0x8e0c78aa74c11d84},
+		64:  {0xd0b98217962eac20, 0x9d1fdd8cb851f7a7},
+		128: {0x7d98b75c29739446, 0xf85edd880559eb12},
 	}
 	pc := precondCases()[1] // cpudram
 	stack := material.DefaultStackFor(pc.w, pc.h)
-	for _, g := range []int{16, 17, 24, 64} {
+	for _, g := range []int{16, 17, 24, 64, 128} {
 		m, err := NewModel(pc.w, pc.h, Options{Grid: g, Stack: &stack, Precond: precondMG})
 		if err != nil {
 			t.Fatal(err)

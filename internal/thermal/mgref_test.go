@@ -3,6 +3,7 @@ package thermal
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"tap25d/internal/material"
@@ -16,7 +17,8 @@ import (
 // the operators of a live hierarchy, read through Multigrid.Operator, and
 // rebuilds the rest (line factors, bilinear transfer lists, the coarsest
 // Cholesky factor) with the hierarchy's own formulas, so it differs from
-// Multigrid.Apply only in rounding.
+// Multigrid.Apply only in rounding. It sweeps every level as one block
+// unless twoBlock splits them.
 type refVCycle struct {
 	layers int
 	lv     []refLevel
@@ -33,6 +35,7 @@ type refLevel struct {
 	pPtr, pCol   []int32   // prolongation to the next finer level, per fine column
 	pW           []float64
 	r, z, t      []float64
+	cut          int // first in-plane column of block 1 (nx·ny: one block)
 }
 
 func (lv *refLevel) row(p, c, layers int) int {
@@ -49,6 +52,7 @@ func newRefVCycle(t *testing.T, mg *sparse.Multigrid, geo sparse.GridGeometry) *
 	for l := range ref.lv {
 		lv := &ref.lv[l]
 		lv.a, lv.nx, lv.ny, lv.line = mg.Operator(l), geo.Nx>>l, geo.Ny>>l, l < last
+		lv.cut = lv.nx * lv.ny
 		n := lv.a.N
 		for _, v := range []*[]float64{&lv.diag, &lv.up, &lv.dn, &lv.lfac, &lv.dinv, &lv.r, &lv.z, &lv.t} {
 			*v = make([]float64, n)
@@ -79,6 +83,16 @@ func newRefVCycle(t *testing.T, mg *sparse.Multigrid, geo sparse.GridGeometry) *
 	}
 	ref.chol = refCholesky(t, ref.lv[last].a)
 	return ref
+}
+
+// twoBlock splits every level of ref at in-plane row ny/2, so each sweep
+// reads the couplings across the cut at their values from before the
+// sweep: the serial definition of the two-block smoother.
+func (ref *refVCycle) twoBlock() {
+	for l := range ref.lv {
+		lv := &ref.lv[l]
+		lv.cut = lv.nx * (lv.ny / 2)
+	}
 }
 
 // refProlongation builds the cell-centered bilinear prolongation from an
@@ -224,6 +238,7 @@ func (ref *refVCycle) cycle(l int) {
 // forward or backward, updating lv.z in place.
 func (ref *refVCycle) sweep(lv *refLevel, backward bool) {
 	a, z, r := lv.a, lv.z, lv.r
+	before := append([]float64(nil), z...)
 	t := make([]float64, ref.layers)
 	nxy := lv.nx * lv.ny
 	for bi := 0; bi < nxy; bi++ {
@@ -235,7 +250,11 @@ func (ref *refVCycle) sweep(lv *refLevel, backward bool) {
 			i := lv.row(p, c, ref.layers)
 			acc := r[i]
 			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				acc -= a.Val[k] * z[a.Col[k]]
+				x := z
+				if j := int(a.Col[k]) / ref.layers; (j < lv.cut) != (c < lv.cut) {
+					x = before
+				}
+				acc -= a.Val[k] * x[a.Col[k]]
 			}
 			acc += lv.diag[i] * z[i]
 			if p > 0 {
@@ -329,6 +348,71 @@ func TestSplitSmootherAgreesWithUnsplitCycle(t *testing.T) {
 				}
 				if iters[0] != iters[1] {
 					t.Errorf("CG took %d iterations under the split cycle, %d under the unsplit reference", iters[0], iters[1])
+				}
+			})
+		}
+	}
+}
+
+// TestTwoBlockCycleMatchesReference: from grid 128 up every smoothed level
+// is split into two blocks at in-plane row ny/2, and each sweep lags the
+// couplings across the cut. On the four precondCases stacks at grid 128 one
+// V-cycle must agree with the serial two-block reference to 1e-12
+// (max-norm, relative); TestSplitSmootherAgreesWithUnsplitCycle checks that
+// cold CG still takes as many iterations as under the one-block cycle.
+func TestTwoBlockCycleMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("grid-128 models are slow under -short")
+	}
+	for _, pc := range precondCases() {
+		t.Run(pc.name, func(t *testing.T) {
+			m, geo := mgModel(t, pc, 128)
+			ref := newRefVCycle(t, m.mg, geo)
+			ref.twoBlock()
+			r := make([]float64, m.nNodes)
+			for i := range r {
+				r[i] = float64((i*7919)%1009)/1009 - 0.5
+			}
+			got, want, one := make([]float64, len(r)), make([]float64, len(r)), make([]float64, len(r))
+			m.mg.Apply(got, r)
+			ref.Apply(want, r)
+			if d := maxRelDiff(got, want); d > 1e-12 {
+				t.Errorf("V-cycle deviates from the two-block reference by %.3g (relative)", d)
+			}
+			newRefVCycle(t, m.mg, geo).Apply(one, r)
+			if d := maxRelDiff(got, one); d < 1e-9 {
+				t.Errorf("V-cycle is within %.3g of the one-block reference: the hierarchy is not split", d)
+			}
+		})
+	}
+}
+
+// TestTwoBlockCyclePositive: the two-block smoother is only guaranteed
+// definite on M-matrix levels, and the Galerkin levels are not M-matrices,
+// so r·M⁻¹r must be checked positive on real stacks, for random r, at the
+// split grids 128 and 256.
+func TestTwoBlockCyclePositive(t *testing.T) {
+	for _, g := range []int{128, 256} {
+		for _, pc := range precondCases() {
+			t.Run(fmt.Sprintf("%s/grid%d", pc.name, g), func(t *testing.T) {
+				if g > 128 && testing.Short() {
+					t.Skip("grid-256 models are slow under -short")
+				}
+				m, _ := mgModel(t, pc, g)
+				rng := rand.New(rand.NewSource(int64(g)))
+				r, z := make([]float64, m.nNodes), make([]float64, m.nNodes)
+				for k := 0; k < 4; k++ {
+					for i := range r {
+						r[i] = rng.NormFloat64()
+					}
+					m.mg.Apply(z, r)
+					rz := 0.0
+					for i := range r {
+						rz += r[i] * z[i]
+					}
+					if !(rz > 0) {
+						t.Fatalf("r·z = %g for random r %d", rz, k)
+					}
 				}
 			})
 		}

@@ -88,7 +88,9 @@ func (m *Model) SolveBatch(ctx context.Context, specs [][]Source) ([]*Result, er
 	results := make([]*Result, nrhs)
 	var total int64
 	for c := range specs {
-		results[c] = m.buildResult(xs[c], 1, iters[c])
+		if results[c], err = m.buildResult(xs[c], 1, iters[c]); err != nil {
+			return nil, err
+		}
 		total += int64(iters[c])
 	}
 	if m.ctr != nil {

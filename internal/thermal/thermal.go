@@ -459,7 +459,9 @@ func (m *Model) SolveScaled(ctx context.Context, sources []Source, scales []floa
 	}
 	results := make([]*Result, len(scales))
 	for c, s := range scales {
-		results[c] = m.buildResult(m.temps, s, nominal.Iterations)
+		if results[c], err = m.buildResult(m.temps, s, nominal.Iterations); err != nil {
+			return nil, err
+		}
 		results[c].Recovery = nominal.Recovery
 	}
 	return results, nil
@@ -642,13 +644,17 @@ func (m *Model) solveAssembled(ctx context.Context, a *sparse.CSR, cg *sparse.CG
 		m.warm = false
 		return nil, fmt.Errorf("thermal: %w", err)
 	}
+	res, err := m.buildResult(m.temps, 1, iters)
+	if err != nil {
+		m.warm = false
+		return nil, err
+	}
 	m.warm = true
 	m.warmGood = append(m.warmGood[:0], m.temps...)
 	if m.ctr != nil {
 		m.ctr.ThermalSolves++
 		m.ctr.CGIterations += int64(iters)
 	}
-	res := m.buildResult(m.temps, 1, iters)
 	res.Recovery = rec
 	return res, nil
 }
@@ -656,8 +662,9 @@ func (m *Model) solveAssembled(ctx context.Context, a *sparse.CSR, cg *sparse.CG
 // buildResult extracts the chiplet-layer temperature map and its summary
 // statistics from scale times a solved temperature-rise field. The product
 // is rounded on its own before the ambient is added (no fused multiply-add),
-// so scale 1 reproduces the unscaled field bit for bit.
-func (m *Model) buildResult(temps []float64, scale float64, iters int) *Result {
+// so scale 1 reproduces the unscaled field bit for bit. A field with a
+// non-finite temperature, which makes the sum non-finite, is an error.
+func (m *Model) buildResult(temps []float64, scale float64, iters int) (*Result, error) {
 	g := m.grid
 	g2 := g * g
 	res := &Result{
@@ -680,10 +687,13 @@ func (m *Model) buildResult(temps []float64, scale float64, iters int) *Result {
 			}
 		}
 	}
+	if math.IsNaN(sum) || math.IsInf(sum, 0) {
+		return nil, fmt.Errorf("thermal: chiplet-layer temperatures sum to %v; the field is not finite", sum)
+	}
 	res.PeakC = peak
 	res.AvgC = sum / float64(g2)
 	res.PeakAt = res.CellCenter(pi, pj)
-	return res
+	return res, nil
 }
 
 // layerK returns the conductivity of cell (i, j) in device layer l.

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -295,5 +296,34 @@ func BenchmarkSolveGrid64(b *testing.B) {
 		if _, err := m.Solve(src); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestNonFiniteFieldIsError: powers whose squares overflow once summed must
+// not come back as the initial guess, which an infinite right-hand-side norm
+// would let CG call converged, and a field with a non-finite temperature is
+// an error, not a number. Neither may poison the next solve's warm start.
+func TestNonFiniteFieldIsError(t *testing.T) {
+	m := newTestModel(t, 16)
+	huge := []Source{
+		{Rect: geom.Rect{Center: geom.Point{X: 10, Y: 10}, W: 4, H: 4}, Power: 1e308},
+		{Rect: geom.Rect{Center: geom.Point{X: 30, Y: 30}, W: 4, H: 4}, Power: 1e308},
+	}
+	if res, err := m.Solve(huge); err == nil {
+		t.Fatalf("overflowing power solved to PeakC %v without error", res.PeakC)
+	}
+	want, err := newTestModel(t, 16).Solve([]Source{centeredSource(100)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Solve([]Source{centeredSource(100)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.PeakC != want.PeakC {
+		t.Errorf("solve after the rejected one: PeakC %v, fresh model %v", got.PeakC, want.PeakC)
+	}
+	if _, err := m.SolveScaled(context.Background(), []Source{centeredSource(100)}, []float64{1, math.MaxFloat64}); err == nil {
+		t.Error("a corner whose temperatures overflow was returned without error")
 	}
 }

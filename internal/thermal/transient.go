@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -27,8 +28,10 @@ type Transient struct {
 // backward Euler from ambient (T = 0 rise) over nsteps steps of dt seconds,
 // recording the peak temperature after every step. The implicit scheme is
 // unconditionally stable, so dt can span the millisecond package time
-// constants without resolving the microsecond die ones.
-func (m *Model) SolveTransient(sources []Source, dt float64, nsteps int) (*Transient, error) {
+// constants without resolving the microsecond die ones. ctx is checked
+// before every step and polled inside each step's CG solve, and a canceled
+// transient returns ctx's error; an uncancelled one does not depend on ctx.
+func (m *Model) SolveTransient(ctx context.Context, sources []Source, dt float64, nsteps int) (*Transient, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("thermal: non-positive time step %g", dt)
 	}
@@ -57,10 +60,13 @@ func (m *Model) SolveTransient(sources []Source, dt float64, nsteps int) (*Trans
 	rhs := make([]float64, m.nNodes)
 	out := &Transient{}
 	for step := 1; step <= nsteps; step++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("thermal: transient canceled before step %d: %w", step, err)
+		}
 		for i := range rhs {
 			rhs[i] = m.power[i] + coverDt[i]*t[i]
 		}
-		if _, err := sparse.SolveCG(a, t, rhs, sparse.CGOptions{Tol: cgTol, MaxIter: m.maxIter}); err != nil {
+		if _, err := sparse.SolveCGContext(ctx, a, t, rhs, sparse.CGOptions{Tol: cgTol, MaxIter: m.maxIter}); err != nil {
 			return nil, fmt.Errorf("thermal: transient step %d: %w", step, err)
 		}
 		peak := math.Inf(-1)
@@ -77,7 +83,7 @@ func (m *Model) SolveTransient(sources []Source, dt float64, nsteps int) (*Trans
 	// Steady-state reference (invalidates the transient warm-start state,
 	// so refresh the solver's cache deliberately).
 	m.warm = false
-	steady, err := m.Solve(sources)
+	steady, err := m.SolveContext(ctx, sources)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,13 +11,13 @@ import (
 func TestTransientValidation(t *testing.T) {
 	m := newTestModel(t, 8)
 	src := []Source{centeredSource(100)}
-	if _, err := m.SolveTransient(src, 0, 10); err == nil {
+	if _, err := m.SolveTransient(context.Background(), src, 0, 10); err == nil {
 		t.Error("zero dt accepted")
 	}
-	if _, err := m.SolveTransient(src, 0.1, 0); err == nil {
+	if _, err := m.SolveTransient(context.Background(), src, 0.1, 0); err == nil {
 		t.Error("zero steps accepted")
 	}
-	if _, err := m.SolveTransient([]Source{{Power: -1, Rect: geom.Rect{Center: geom.Point{X: 5, Y: 5}, W: 1, H: 1}}}, 0.1, 2); err == nil {
+	if _, err := m.SolveTransient(context.Background(), []Source{{Power: -1, Rect: geom.Rect{Center: geom.Point{X: 5, Y: 5}, W: 1, H: 1}}}, 0.1, 2); err == nil {
 		t.Error("negative power accepted")
 	}
 }
@@ -24,7 +25,7 @@ func TestTransientValidation(t *testing.T) {
 func TestTransientMonotonicRiseToSteady(t *testing.T) {
 	m := newTestModel(t, 16)
 	src := []Source{centeredSource(150)}
-	tr, err := m.SolveTransient(src, 0.2, 40) // 8 s horizon
+	tr, err := m.SolveTransient(context.Background(), src, 0.2, 40) // 8 s horizon
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestTransientMonotonicRiseToSteady(t *testing.T) {
 func TestTransientConvergesToSteadyLongHorizon(t *testing.T) {
 	m := newTestModel(t, 12)
 	src := []Source{centeredSource(100)}
-	tr, err := m.SolveTransient(src, 1.0, 60)
+	tr, err := m.SolveTransient(context.Background(), src, 1.0, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestTransientConvergesToSteadyLongHorizon(t *testing.T) {
 func TestTimeToThreshold(t *testing.T) {
 	m := newTestModel(t, 16)
 	src := []Source{centeredSource(300)}
-	tr, err := m.SolveTransient(src, 0.1, 50)
+	tr, err := m.SolveTransient(context.Background(), src, 0.1, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestTransientMorePowerCrossesSooner(t *testing.T) {
 	// crossing with 2 ms steps.
 	m := newTestModel(t, 12)
 	mk := func(p float64) float64 {
-		tr, err := m.SolveTransient([]Source{centeredSource(p)}, 0.002, 400)
+		tr, err := m.SolveTransient(context.Background(), []Source{centeredSource(p)}, 0.002, 400)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func TestSteadySolveStillWorksAfterTransient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SolveTransient(src, 0.1, 5); err != nil {
+	if _, err := m.SolveTransient(context.Background(), src, 0.1, 5); err != nil {
 		t.Fatal(err)
 	}
 	again, err := m.Solve(src)

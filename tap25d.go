@@ -671,7 +671,8 @@ func wrapRouteErr(err error) error {
 // temperature is traced over nsteps backward-Euler steps of dtS seconds.
 // Use TransientResult.TimeToThresholdS to answer boost-residency questions
 // ("how long until this placement hits 85 °C?") — an extension of the
-// paper's steady-state methodology.
+// paper's steady-state methodology. Options.Context cancels the
+// simulation between steps and inside each step's solve.
 func Transient(sys *System, p Placement, dtS float64, nsteps int, opt Options) (*TransientResult, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
@@ -683,7 +684,7 @@ func Transient(sys *System, p Placement, dtS float64, nsteps int, opt Options) (
 	if err != nil {
 		return nil, err
 	}
-	return model.SolveTransient(placer.Sources(sys, p), dtS, nsteps)
+	return model.SolveTransient(opt.context(), placer.Sources(sys, p), dtS, nsteps)
 }
 
 // LinkLatencyStudy reproduces the Section IV-B performance numbers: the
