@@ -10,6 +10,7 @@ import (
 	"tap25d/internal/geom"
 	"tap25d/internal/metrics"
 	"tap25d/internal/obs"
+	"tap25d/internal/thermal"
 )
 
 // fakeEval is a synthetic objective: "temperature" falls as the two
@@ -335,6 +336,63 @@ func (c *countedEval) Evaluate(p chiplet.Placement) (float64, float64, error) {
 }
 
 func (c *countedEval) Metrics() metrics.Counters { return c.ctr }
+
+// modelEval is a fakeEval that exposes a thermal model of its own, as
+// SystemEvaluator does.
+type modelEval struct {
+	fakeEval
+	model *thermal.Model
+}
+
+func (m *modelEval) Thermal() *thermal.Model { return m.model }
+
+// TestPlaceBestOfKeepsWinnerModel: with more runs than workers, the Result
+// carries the thermal model of the run that won, whichever worker ran it
+// and whenever it finished; a fan-out whose evaluators expose no model
+// carries none.
+func TestPlaceBestOfKeepsWinnerModel(t *testing.T) {
+	sys := placerSystem()
+	var mu sync.Mutex
+	var evs []*modelEval
+	factory := func() (Evaluator, error) {
+		m, err := thermal.NewModel(sys.InterposerW, sys.InterposerH, thermal.Options{Grid: 4})
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		// Every evaluator scores a constant infeasible temperature, so
+		// Better ranks runs by it: the third evaluator built wins, whichever
+		// run index it serves.
+		base := 130.0
+		if len(evs) == 2 {
+			base = 110
+		}
+		ev := &modelEval{fakeEval: fakeEval{sys: sys, tempBase: base}, model: m}
+		evs = append(evs, ev)
+		return ev, nil
+	}
+	best, err := PlaceBestOf(sys, factory, 6, Options{Steps: 40, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if best.PeakC != 110 || best.Model == nil || best.Model != evs[2].model {
+		t.Errorf("best run %d at %v C carries model %p, want the 110 C evaluator's %p",
+			best.Run, best.PeakC, best.Model, evs[2].model)
+	}
+
+	plain, err := PlaceBestOf(sys, func() (Evaluator, error) {
+		return &fakeEval{sys: sys, tempBase: 130, tempSlope: 2}, nil
+	}, 3, Options{Steps: 40, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Model != nil {
+		t.Errorf("fan-out without thermal models carries model %p", plain.Model)
+	}
+}
 
 // TestPlaceBestOfCounterMergeRaceSafe is a -race regression test for the
 // counter aggregation in PlaceBestOfContext: merging per-run counters while a

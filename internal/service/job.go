@@ -30,6 +30,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"time"
 
@@ -90,6 +91,16 @@ type JobSpec struct {
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
 }
 
+// decodeJobSpec reads one JSON job spec the way POST /v1/jobs does:
+// unknown fields are an error. It does not validate the spec.
+func decodeJobSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
 // Validate rejects specs the workers could not execute.
 func (s *JobSpec) Validate() error {
 	if s.System == "" && len(s.SystemJSON) == 0 {
@@ -101,8 +112,18 @@ func (s *JobSpec) Validate() error {
 	if _, err := s.LoadSystem(); err != nil {
 		return err
 	}
-	if s.ThermalGrid < 0 || s.Steps < 0 || s.Runs < 0 || s.CompactSteps < 0 {
-		return fmt.Errorf("thermal_grid, steps, runs and compact_steps must be non-negative")
+	for _, f := range []struct {
+		name     string
+		val, max int
+	}{
+		{"thermal_grid", s.ThermalGrid, maxThermalGrid},
+		{"steps", s.Steps, maxSteps},
+		{"runs", s.Runs, maxRuns},
+		{"compact_steps", s.CompactSteps, maxSteps},
+	} {
+		if f.val < 0 || f.val > f.max {
+			return fmt.Errorf("%s is %d; want 0 (the default) to %d", f.name, f.val, f.max)
+		}
 	}
 	if len(s.PowerScenarios) > maxPowerScenarios {
 		return fmt.Errorf("power_scenarios: %d corners exceeds the limit of %d", len(s.PowerScenarios), maxPowerScenarios)
@@ -115,9 +136,19 @@ func (s *JobSpec) Validate() error {
 	return nil
 }
 
-// maxPowerScenarios bounds the per-job power-corner sweep; every corner's
-// temperature map is held in memory at once.
-const maxPowerScenarios = 64
+// Per-job size limits. maxPowerScenarios bounds the power-corner sweep,
+// whose temperature maps are held in memory at once. maxThermalGrid is the
+// largest grid any benchmark solves (a grid-256 model holds 5.2·10⁵
+// unknowns, and memory grows with the grid's square). maxRuns bounds the
+// best-of fan-out, whose runs each hold a model while they run, and
+// maxSteps the annealing and Compact-2.5D step budgets, which set a job's
+// run time.
+const (
+	maxPowerScenarios = 64
+	maxThermalGrid    = 256
+	maxRuns           = 64
+	maxSteps          = 1_000_000
+)
 
 // LoadSystem materializes the spec's system description.
 func (s *JobSpec) LoadSystem() (*tap25d.System, error) {

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -296,10 +297,37 @@ func TestSpecValidate(t *testing.T) {
 		{"both sources", JobSpec{System: "multigpu", SystemJSON: []byte(`{}`)}, false},
 		{"bad json", JobSpec{SystemJSON: []byte(`{`)}, false},
 		{"negative steps", JobSpec{System: "multigpu", Steps: -1}, false},
+		{"largest sizes", JobSpec{System: "multigpu", ThermalGrid: maxThermalGrid, Steps: maxSteps,
+			Runs: maxRuns, CompactSteps: maxSteps}, true},
 	}
 	for _, c := range cases {
 		if err := c.spec.Validate(); (err == nil) != c.ok {
 			t.Errorf("%s: err=%v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+// TestSpecValidateSizeBounds checks each size limit through Validate alone:
+// a spec one past a limit, or far past it, is rejected with an error naming
+// the field. No flow is started.
+func TestSpecValidateSizeBounds(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*JobSpec, int)
+		max   int
+	}{
+		{"thermal_grid", func(s *JobSpec, v int) { s.ThermalGrid = v }, maxThermalGrid},
+		{"steps", func(s *JobSpec, v int) { s.Steps = v }, maxSteps},
+		{"runs", func(s *JobSpec, v int) { s.Runs = v }, maxRuns},
+		{"compact_steps", func(s *JobSpec, v int) { s.CompactSteps = v }, maxSteps},
+	} {
+		for _, v := range []int{c.max + 1, 1_000_000_000, -1} {
+			spec := JobSpec{System: "multigpu"}
+			c.set(&spec, v)
+			err := spec.Validate()
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s = %d: err = %v, want an error naming %s", c.field, v, err, c.field)
+			}
 		}
 	}
 }

@@ -92,9 +92,12 @@ func recoverable(ctx context.Context, err error) bool {
 //  3. Relaxed tolerance: one last attempt under the multigrid hierarchy at
 //     relaxedTolFactor× cgTol; success is flagged Degraded on the result.
 //
-// Each escalation increments its metrics counter and obs extension counter
-// and runs under a labeled span. The first rung to converge wins; when all
-// rungs fail the original failure class (ErrNoConvergence) propagates.
+// Every attempt under the hierarchy runs under the grid-independent
+// mgMaxIter budget, so a stalled ladder costs a few hundred V-cycles at
+// most. Each escalation increments its metrics counter and obs extension
+// counter and runs under a labeled span. The first rung to converge wins;
+// when all rungs fail the original failure class (ErrNoConvergence)
+// propagates.
 func (m *Model) recoverSolve(ctx context.Context, a *sparse.CSR, cg *sparse.CGSolver, opt sparse.CGOptions) (*RecoveryInfo, int, error) {
 	rec := &RecoveryInfo{}
 
@@ -129,7 +132,7 @@ func (m *Model) recoverSolve(ctx context.Context, a *sparse.CSR, cg *sparse.CGSo
 			sp.End()
 			return rec, 0, err
 		}
-		opt.Precond = mg
+		opt = withMG(opt, mg)
 		iters, err = m.runCG(ctx, a, cg, opt)
 		sp.End()
 		if err == nil {

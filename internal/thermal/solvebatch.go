@@ -74,7 +74,7 @@ func (m *Model) SolveBatch(ctx context.Context, specs [][]Source) ([]*Result, er
 		if err != nil {
 			return nil, fmt.Errorf("thermal: %w", err)
 		}
-		opt.Precond = mg
+		opt = withMG(opt, mg)
 		cycles0 = mg.Cycles()
 	}
 	iters, err := sparse.SolveCGBatch(ctx, a, xs, bs, opt)
