@@ -134,10 +134,42 @@ func (m *Model) initIncremental(sources []Source) error {
 // the incremental state is keyed on.
 func (m *Model) invalidateIncremental() {
 	m.fixed = nil
+	m.rebuild = false
 	m.cg = nil
 	m.plan = m.plan[:0]
 	m.cellDeps = nil
 	m.prevSources = m.prevSources[:0]
+}
+
+// reassembleFixed rebuilds every matrix value in the frozen pattern from a
+// full rasterize: each kChip-dependent conductance is recomputed over the
+// whole grid and every slot re-summed. The placement-independent terms never
+// change, so the values equal those initIncremental assembles for the same
+// sources, bit for bit. A failed rasterize leaves the rebuild pending.
+func (m *Model) reassembleFixed(sources []Source) error {
+	if err := m.rasterize(sources); err != nil {
+		return err
+	}
+	for _, d := range m.plan {
+		m.rewriteDep(d)
+	}
+	m.fixed.RefreshAll()
+	m.rebuild = false
+	if m.ctr != nil {
+		m.ctr.FullAssembles++
+	}
+	return nil
+}
+
+// rewriteDep recomputes plan entry d's conductance from the current kChip
+// field and rewrites its four terms; the caller refreshes their slots.
+func (m *Model) rewriteDep(d chipDep) {
+	g := m.depCond(d)
+	f := m.fixed
+	f.SetTerm(d.term, g)
+	f.SetTerm(d.term+1, g)
+	f.SetTerm(d.term+2, -g)
+	f.SetTerm(d.term+3, -g)
 }
 
 // rasterizeDelta updates cov, power and kChip over the union of the previous
@@ -234,14 +266,9 @@ func (m *Model) assembleDelta(changed []int32) {
 			}
 			m.depEpoch[di] = ep
 			d := m.plan[di]
-			g := m.depCond(d)
-			t := d.term
-			f.SetTerm(t, g)
-			f.SetTerm(t+1, g)
-			f.SetTerm(t+2, -g)
-			f.SetTerm(t+3, -g)
+			m.rewriteDep(d)
 			for o := int32(0); o < 4; o++ {
-				s := f.TermSlot(t + o)
+				s := f.TermSlot(d.term + o)
 				if m.slotEpoch[s] != ep {
 					m.slotEpoch[s] = ep
 					m.dirtySlots = append(m.dirtySlots, s)

@@ -1,12 +1,15 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tap25d/internal/geom"
 	"tap25d/internal/material"
+	"tap25d/internal/metrics"
 )
 
 // TestSuperposition: with identical footprints (hence identical conductivity
@@ -144,6 +147,79 @@ func TestIncrementalMatchesFullAssembly(t *testing.T) {
 		if math.Abs(ri.PeakC-rf.PeakC) > 1e-9*math.Max(1, math.Abs(rf.PeakC)) {
 			t.Fatalf("step %d: peak %v vs %v", step, ri.PeakC, rf.PeakC)
 		}
+	}
+}
+
+// TestResetColdMatchesNewModel: a model that has annealed through a walk of
+// moves and is then reset cold solves a placement from the middle of the
+// walk exactly as a new model's first solve does, in bits and in counters
+// (one full assembly, one hierarchy set-up on the multigrid path), on its
+// own matrix and hierarchy. A reset whose first solve fails on a bad source
+// keeps the rebuild pending.
+func TestResetColdMatchesNewModel(t *testing.T) {
+	for _, grid := range []int{20, 64} {
+		t.Run(fmt.Sprint(grid), func(t *testing.T) {
+			var walked metrics.Counters
+			m, err := NewModel(45, 45, Options{Grid: grid, Counters: &walked})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(grid)))
+			srcs := []Source{
+				{Rect: geom.Rect{Center: geom.Point{X: 12, Y: 12}, W: 8, H: 6}, Power: 90},
+				{Rect: geom.Rect{Center: geom.Point{X: 30, Y: 14}, W: 5, H: 9}, Power: 140},
+				{Rect: geom.Rect{Center: geom.Point{X: 15, Y: 32}, W: 7, H: 7}, Power: 60},
+			}
+			var best []Source
+			for step := 0; step < 12; step++ {
+				if step == 6 {
+					best = slices.Clone(srcs)
+				}
+				k := rng.Intn(len(srcs))
+				srcs[k].Rect.Center.X += (rng.Float64() - 0.5) * 6
+				srcs[k].Rect.Center.Y += (rng.Float64() - 0.5) * 6
+				if _, err := m.Solve(srcs); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			}
+			mat, mg := m.fixed.Mat, m.mg
+
+			var freshCtr metrics.Counters
+			fresh, err := NewModel(45, 45, Options{Grid: grid, Counters: &freshCtr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Solve(best)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var ctr metrics.Counters
+			m.ResetCold(&ctr)
+			bad := append([]Source{{Rect: best[0].Rect, Power: -1}}, best[1:]...)
+			if _, err := m.Solve(bad); err == nil {
+				t.Fatal("solve with a negative power succeeded")
+			}
+			got, err := m.Solve(best)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Iterations != want.Iterations || math.Float64bits(got.PeakC) != math.Float64bits(want.PeakC) {
+				t.Errorf("reset model: %v C in %d iterations, new model %v C in %d",
+					got.PeakC, got.Iterations, want.PeakC, want.Iterations)
+			}
+			for c, v := range want.ChipTempC {
+				if math.Float64bits(got.ChipTempC[c]) != math.Float64bits(v) {
+					t.Fatalf("cell %d: reset model %v C, new model %v C", c, got.ChipTempC[c], v)
+				}
+			}
+			if ctr != freshCtr {
+				t.Errorf("reset model counted %+v, new model %+v", ctr, freshCtr)
+			}
+			if m.fixed.Mat != mat || m.mg != mg {
+				t.Error("reset model built a new matrix or hierarchy")
+			}
+		})
 	}
 }
 
