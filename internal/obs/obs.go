@@ -70,6 +70,10 @@ const (
 	// orphaned job lease by a scavenger: epoch bump, retry-budget decision,
 	// record persist.
 	PhaseJobReclaim
+	// PhaseMGRefresh covers the multigrid hierarchy work inside a thermal
+	// solve: a fresh hierarchy's build (label "build") or the numeric
+	// refresh after a value-changing assembly (label "refresh").
+	PhaseMGRefresh
 	numPhases
 )
 
@@ -86,6 +90,7 @@ var phaseNames = [numPhases]string{
 	"job_submit",
 	"job_execute",
 	"job_reclaim",
+	"mg_refresh",
 }
 
 func (p Phase) String() string {

@@ -165,8 +165,13 @@ func (g *Grid) SnapPlacement(p chiplet.Placement) chiplet.Placement {
 // up to half a pitch when snapped and can end up mutually overlapping, so
 // legalization places chiplets one at a time from the interposer center
 // outward, each at the valid grid node nearest its snapped position given
-// only the chiplets already placed. It returns an error when some chiplet has
-// no valid node at all (the system genuinely does not fit on the grid).
+// only the chiplets already placed. When that fails it retries largest die
+// first, and when that fails too, largest die first with each die at the
+// valid node nearest the interposer's lower-left corner, which packs the dies
+// against two edges instead of where the snapped input left them. Each pass
+// runs only when the ones before it failed, so an input that legalizes keeps
+// its result. It returns an error when every pass leaves some chiplet with no
+// valid node (the system does not fit on the grid).
 func (g *Grid) Legalize(sys *chiplet.System, p chiplet.Placement) (chiplet.Placement, error) {
 	snapped := g.SnapPlacement(p)
 	center := geom.Point{X: g.w / 2, Y: g.h / 2}
@@ -187,12 +192,16 @@ func (g *Grid) Legalize(sys *chiplet.System, p chiplet.Placement) (chiplet.Place
 	})
 
 	var lastErr error
-	for _, order := range [][]int{centerOut, areaDesc} {
+	for pass, order := range [][]int{centerOut, areaDesc, areaDesc} {
 		q := snapped.Clone()
 		placed := make([]bool, len(q.Centers))
 		ok := true
 		for _, i := range order {
-			best, found := g.nearestValidAmong(sys, q, i, placed)
+			target := q.Centers[i]
+			if pass == 2 {
+				target = geom.Point{} // the lower-left corner
+			}
+			best, found := g.nearestValidAmong(sys, q, i, placed, target)
 			if !found {
 				lastErr = fmt.Errorf("ocm: chiplet %d (%s) has no valid grid position", i, sys.Chiplets[i].Name)
 				ok = false
@@ -208,10 +217,9 @@ func (g *Grid) Legalize(sys *chiplet.System, p chiplet.Placement) (chiplet.Place
 	return snapped, lastErr
 }
 
-// nearestValidAmong finds the valid node closest to chiplet c's current
-// center, checking conflicts only against chiplets marked in placed.
-func (g *Grid) nearestValidAmong(sys *chiplet.System, p chiplet.Placement, c int, placed []bool) (geom.Point, bool) {
-	cur := p.Centers[c]
+// nearestValidAmong finds the valid node for chiplet c closest to target,
+// checking conflicts only against chiplets marked in placed.
+func (g *Grid) nearestValidAmong(sys *chiplet.System, p chiplet.Placement, c int, placed []bool, target geom.Point) (geom.Point, bool) {
 	die := sys.Chiplets[c]
 	w, h := die.W, die.H
 	if p.Rotated[c] {
@@ -225,7 +233,7 @@ func (g *Grid) nearestValidAmong(sys *chiplet.System, p chiplet.Placement, c int
 	for ix := 0; ix < g.nx; ix++ {
 		for iy := 0; iy < g.ny; iy++ {
 			pt := geom.Point{X: float64(ix) * g.pitch, Y: float64(iy) * g.pitch}
-			d := cur.Manhattan(pt)
+			d := target.Manhattan(pt)
 			if d >= bestD {
 				continue
 			}

@@ -1,11 +1,14 @@
 package ocm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"tap25d/internal/btree"
 	"tap25d/internal/chiplet"
 	"tap25d/internal/geom"
+	"tap25d/internal/systems"
 )
 
 func testSystem() (*chiplet.System, chiplet.Placement) {
@@ -196,6 +199,47 @@ func TestLegalizeImpossible(t *testing.T) {
 	g, _ := NewGrid(sys, 1)
 	if _, err := g.Legalize(sys, p); err == nil {
 		t.Error("impossible legalization succeeded")
+	}
+}
+
+// TestLegalizeFallback: Compact-2.5D packings that neither the center-out
+// nor the largest-first pass can legalize — some die finds no node left
+// between the dies placed before it — must legalize through the corner pass:
+// on the grid, and valid under CheckPlacement.
+func TestLegalizeFallback(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sys   *chiplet.System
+		steps int
+		seeds []int64
+	}{
+		{"multigpu", systems.MultiGPU(), 2000, []int64{4, 5, 7}},
+		{"cpudram", systems.CPUDRAM(), 20000, []int64{5}},
+	} {
+		for _, seed := range tc.seeds {
+			t.Run(fmt.Sprintf("%s/steps%d/seed%d", tc.name, tc.steps, seed), func(t *testing.T) {
+				res, err := btree.PlaceCompact(tc.sys, btree.Options{Seed: seed, Steps: tc.steps})
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := NewGrid(tc.sys, DefaultPitchMM)
+				if err != nil {
+					t.Fatal(err)
+				}
+				q, err := g.Legalize(tc.sys, res.Placement)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tc.sys.CheckPlacement(q); err != nil {
+					t.Fatalf("legalized placement invalid: %v", err)
+				}
+				for i, c := range q.Centers {
+					if !g.OnGrid(c) {
+						t.Errorf("chiplet %d at %v off grid", i, c)
+					}
+				}
+			})
+		}
 	}
 }
 

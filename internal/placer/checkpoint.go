@@ -225,20 +225,7 @@ func PrevCheckpointPath(path string) string { return path + ".prev" }
 //   - the parent directory is fsynced after the renames, making both
 //     generation links themselves durable.
 func SaveCheckpointFile(path string, cp *Checkpoint) error {
-	payload, err := json.Marshal(cp)
-	if err != nil {
-		return err
-	}
-	crc, err := checkpointCRC(payload)
-	if err != nil {
-		return err
-	}
-	env := checkpointEnvelope{
-		Format:     checkpointFormat,
-		CRC32C:     crc,
-		Checkpoint: payload,
-	}
-	blob, err := json.MarshalIndent(&env, "", " ")
+	blob, err := sealCheckpoint(cp)
 	if err != nil {
 		return err
 	}
@@ -248,7 +235,7 @@ func SaveCheckpointFile(path string, cp *Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(append(blob, '\n')); err != nil {
+	if _, err := f.Write(blob); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -273,6 +260,28 @@ func SaveCheckpointFile(path string, cp *Checkpoint) error {
 		return err
 	}
 	return syncDir(filepath.Dir(path))
+}
+
+// sealCheckpoint returns cp in its durable envelope, as SaveCheckpointFile
+// writes it.
+func sealCheckpoint(cp *Checkpoint) ([]byte, error) {
+	payload, err := json.Marshal(cp)
+	if err != nil {
+		return nil, err
+	}
+	crc, err := checkpointCRC(payload)
+	if err != nil {
+		return nil, err
+	}
+	blob, err := json.MarshalIndent(&checkpointEnvelope{
+		Format:     checkpointFormat,
+		CRC32C:     crc,
+		Checkpoint: payload,
+	}, "", " ")
+	if err != nil {
+		return nil, err
+	}
+	return append(blob, '\n'), nil
 }
 
 // syncDir fsyncs a directory so renames within it survive a crash. Not every

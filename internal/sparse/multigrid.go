@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -27,7 +28,10 @@ import (
 //     its weights depend only on the in-plane position, so it is stored once
 //     per in-plane column and applied to all of a column's layers in one pass;
 //   - Galerkin coarse operators A_c = Pᵀ·A·P, so every boundary term and
-//     heterogeneous conductance is inherited rather than re-modeled;
+//     heterogeneous conductance is inherited rather than re-modeled. P
+//     factors exactly into its in-plane axes, P = P_y ⊗ P_x, so A_c is
+//     formed as P_yᵀ·(P_xᵀ·A·P_x)·P_y in two one-dimensional passes whose
+//     intermediate rows live only in per-worker scratch (galerkinRow);
 //   - vertical-line block Gauss-Seidel smoothing: one forward sweep before
 //     and one backward sweep after the coarse correction, where each "point"
 //     of the sweep is a whole vertical column whose in-column couplings are
@@ -137,6 +141,36 @@ type mgLevel struct {
 	pW           []float64
 	ptPtr, ptCol []int32
 	ptW          []float64
+
+	// The same P as one-dimensional factors, P = P_y ⊗ P_x, for the two-pass
+	// Galerkin product (galerkinRow). The intermediate plane between the
+	// passes has the finer level's ny rows and this level's nx columns, and
+	// is numbered b<<bShift | q for layer q of in-plane column b, a
+	// power-of-two layer stride that splits with a shift and a mask.
+	// xPar maps each fine in-plane column to its ≤2 x-parents as the rows of
+	// their layer 0 on the intermediate plane, and yPar each intermediate
+	// column to its ≤2 y-parents as the rows of their layer 0 on this level;
+	// xCh and yCh list each coarse x column's and y row's fine children.
+	// bMax is the longest intermediate row, maxRow this level's longest
+	// operator row.
+	xPar, yPar   []parents2
+	xCh, yCh     children1D
+	bShift       uint
+	bMax, maxRow int
+}
+
+// parents2 is one fine position's ≤2 coarse parents along one axis, as row
+// offsets: c[1] is -1 when the boundary weight is folded onto c[0].
+type parents2 struct {
+	c [2]int32
+	w [2]float64
+}
+
+// children1D lists each coarse cell's fine children along one axis, in
+// ascending order, with their interpolation weights: idx/w[ptr[c]:ptr[c+1]].
+type children1D struct {
+	ptr, idx []int32
+	w        []float64
 }
 
 // rowSplit cuts a line-major row's slots, in ascending column order, into
@@ -183,9 +217,8 @@ func (lev *mgLevel) rows(h int) (lo, hi int) {
 // pair. It is immutable after construction and shared across Multigrid
 // instances via mgStructCache.
 type mgStructure struct {
-	geo        GridGeometry
-	levels     []*mgLevel
-	maxCoarseN int // largest level-≥1 size, for the Galerkin scatter scratch
+	geo    GridGeometry
+	levels []*mgLevel
 }
 
 // mgCacheKey identifies a symbolic hierarchy: the grid geometry plus a hash
@@ -308,63 +341,265 @@ func buildProlongation(lev *mgLevel, nxF, nyF int) {
 			next[c] = p + 1
 		}
 	}
+
+	// One-dimensional factors. Every weight interp1D returns is an exact
+	// binary fraction (1, 3/4 or 1/4), so the products above are exact and
+	// P is exactly P_y ⊗ P_x.
+	lev.xCh, lev.yCh = axisChildren(nxF, nxC), axisChildren(nyF, nyC)
+	lev.bShift = uint(bits.Len(uint(lev.layers - 1)))
+	lev.xPar = make([]parents2, nF)
+	for i := 0; i < nyF; i++ {
+		for j := 0; j < nxF; j++ {
+			lev.xPar[i*nxF+j] = axisParents(j, nxC, i*nxC, 1, 1<<lev.bShift)
+		}
+	}
+	lev.yPar = make([]parents2, nyF*nxC)
+	cs := lev.row(0, 1)
+	for i := 0; i < nyF; i++ {
+		for J := 0; J < nxC; J++ {
+			lev.yPar[i*nxC+J] = axisParents(i, nyC, J, nxC, cs)
+		}
+	}
+}
+
+// axisParents returns fine index f's ≤2 parents c on a coarse axis of nc
+// cells, as the offsets (base + c·stride)·scale.
+func axisParents(f, nc, base, stride, scale int) parents2 {
+	c0, w0, c1, w1 := interp1D(f, nc)
+	p := parents2{c: [2]int32{int32((base + c0*stride) * scale), -1}, w: [2]float64{w0, 0}}
+	if c1 >= 0 {
+		p.c[1], p.w[1] = int32((base+c1*stride)*scale), w1
+	}
+	return p
+}
+
+// axisChildren lists each cell of a coarse axis of nc cells with its fine
+// children on an axis of nf cells, ascending: fine cells 2c-1 … 2c+2 lean
+// on coarse cell c.
+func axisChildren(nf, nc int) children1D {
+	ch := children1D{ptr: make([]int32, 1, nc+1)}
+	for c := 0; c < nc; c++ {
+		for f := max(0, 2*c-1); f <= min(nf-1, 2*c+2); f++ {
+			if c0, w0, c1, w1 := interp1D(f, nc); c0 == c {
+				ch.idx, ch.w = append(ch.idx, int32(f)), append(ch.w, w0)
+			} else if c1 == c {
+				ch.idx, ch.w = append(ch.idx, int32(f)), append(ch.w, w1)
+			}
+		}
+		ch.ptr = append(ch.ptr, int32(len(ch.idx)))
+	}
+	return ch
 }
 
 // coarsePattern sets lev's Galerkin sparsity pattern, in lev's numbering,
 // from the line-major pattern of the next finer level and lev's
 // interpolation: row I of A_c couples every coarse pair reachable through
-// Pᵀ·A·P, in ascending order. A row's pattern is a set that reads only the
-// finer level, so contiguous runs of rows go to min(GOMAXPROCS,
-// n/galerkinGrainRows) workers, each with its own marker and column buffer,
-// and the runs are joined in row order: the pattern does not depend on the
+// Pᵀ·A·P, in ascending order, found through the same two one-dimensional
+// passes as the values (galerkinRow). A row's pattern is a set that reads
+// only the finer level, so contiguous runs of rows go to min(GOMAXPROCS,
+// n/galerkinGrainRows) workers, each with its own scratch and marker, and
+// the runs are joined in row order: the pattern does not depend on the
 // split.
 func (lev *mgLevel) coarsePattern(fine *mgLevel) {
 	lev.rowPtr = make([]int32, lev.n+1)
-	w := max(1, min(runtime.GOMAXPROCS(0), lev.n/galerkinGrainRows))
-	parts := make([][]int32, w)
-	var wg sync.WaitGroup
-	for k := range parts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			parts[k] = lev.coarseRows(fine, k*lev.n/w, (k+1)*lev.n/w)
-		}()
-	}
-	wg.Wait()
+	w := runs(lev.n)
+	parts, bMax := make([][]int32, w), make([]int, w)
+	forRuns(w, lev.n, func(k, lo, hi int) { parts[k], bMax[k] = lev.coarseRows(fine, lo, hi) })
+	lev.bMax = slices.Max(bMax)
 	for I := 0; I < lev.n; I++ {
 		lev.rowPtr[I+1] += lev.rowPtr[I]
 	}
 	lev.col = slices.Concat(parts...)
 }
 
-// coarseRows returns the concatenated patterns of rows [lo, hi) and stores
-// each row's length in lev.rowPtr[I+1].
-func (lev *mgLevel) coarseRows(fine *mgLevel, lo, hi int) []int32 {
-	cs, ps := int32(lev.row(0, 1)), int32(lev.row(1, 0))
-	layers := uint32(fine.layers)
+// coarseRows returns the concatenated patterns of rows [lo, hi), storing
+// each row's length in lev.rowPtr[I+1], and the longest intermediate row
+// they read. Every intermediate row is read by some coarse row.
+func (lev *mgLevel) coarseRows(fine *mgLevel, lo, hi int) ([]int32, int) {
+	g := takeGalerkin(lev, fine, false)
+	defer galerkinPool.Put(g)
+	ps, mask := lev.row(1, 0), int32(1)<<lev.bShift-1
 	marker := make([]int32, lev.n)
 	for i := range marker {
 		marker[i] = -1
 	}
-	cols := make([]int32, 0, 27*(hi-lo))
+	cols, bMax := make([]int32, 0, 27*(hi-lo)), 0
 	for I := lo; I < hi; I++ {
 		P, C := lev.pos(I)
+		iy, J := C/lev.nx, C%lev.nx
 		start := len(cols)
-		for q := lev.ptPtr[C]; q < lev.ptPtr[C+1]; q++ {
-			fi := fine.row(P, int(lev.ptCol[q]))
-			for _, fj := range fine.col[fine.rowPtr[fi]:fine.rowPtr[fi+1]] {
-				pj, cj := uint32(fj)%layers, uint32(fj)/layers
-				base := int32(pj) * ps
-				for _, Cq := range lev.pCol[lev.pPtr[cj]:lev.pPtr[cj+1]] {
-					if J := base + Cq*cs; marker[J] != int32(I) {
-						marker[J] = int32(I)
-						cols = append(cols, J)
+		for _, i := range lev.yCh.idx[lev.yCh.ptr[iy]:lev.yCh.ptr[iy+1]] {
+			slot := g.ringRow(lev, fine, nil, P, int(i), J)
+			bMax = max(bMax, len(g.bCol[slot]))
+			for _, b := range g.bCol[slot] {
+				for _, x := range lev.yPar[b>>lev.bShift].c {
+					if x < 0 {
+						break
+					}
+					if x += (b & mask) * int32(ps); marker[x] != int32(I) {
+						marker[x] = int32(I)
+						cols = append(cols, x)
 					}
 				}
 			}
 		}
 		slices.Sort(cols[start:])
 		lev.rowPtr[I+1] = int32(len(cols) - start)
+	}
+	return cols, bMax
+}
+
+// galerkinScratch is one worker's scratch for the two-pass Galerkin product
+// of one level (galerkinRow): a dense accumulator for either pass, sized
+// for the intermediate plane, which is larger than the level (acc, all zero
+// between rows), the stamps that find an intermediate row's first touch of
+// a column (mark, stamp, with tmp for the row's terms), and a ring of
+// intermediate rows.
+// Slot ((i&3)·nx + J)·layers + p holds row (p, i, J) when tag[slot] is i:
+// its columns in bCol[slot] and, in a numeric pass, its values in
+// bVal[slot], views of bMax entries into colBuf and valBuf. A coarse y row I
+// reads the fine y rows 2I-1 … 2I+2, which are distinct mod 4, and row I+1
+// reuses two of them, so a worker that walks its rows in ascending order
+// computes each intermediate row once. Scratch is pooled process-wide: no
+// intermediate row outlives the pass that made it.
+type galerkinScratch struct {
+	acc       []float64
+	mark, tmp []int32
+	stamp     int32
+	tag       []int32
+	bCol      [][]int32
+	bVal      [][]float64
+	colBuf    []int32
+	valBuf    []float64
+}
+
+var galerkinPool = sync.Pool{New: func() any { return new(galerkinScratch) }}
+
+// takeGalerkin returns pooled scratch sized for lev's Galerkin rows from the
+// finer level fine, with an empty ring; numeric sizes the value buffers too.
+// A pattern pass (lev.bMax not known yet) grows each slot on its own.
+func takeGalerkin(lev, fine *mgLevel, numeric bool) *galerkinScratch {
+	g := galerkinPool.Get().(*galerkinScratch)
+	nb := fine.ny * lev.nx << lev.bShift // ≥ 2·lev.n
+	g.acc = resize(g.acc, nb)
+	g.mark = resize(g.mark, nb)
+	slots := 4 * lev.nx * lev.layers
+	g.tag = resize(g.tag, slots)
+	for i := range g.tag {
+		g.tag[i] = -1
+	}
+	g.bCol = resize(g.bCol, slots)
+	if !numeric {
+		clear(g.bCol) // views from a numeric pass may overlap
+	} else {
+		g.tmp = resize(g.tmp, 8*fine.maxRow)
+		g.bVal = resize(g.bVal, slots)
+		g.colBuf = resize(g.colBuf, slots*lev.bMax)
+		g.valBuf = resize(g.valBuf, slots*lev.bMax)
+		for k := range slots {
+			lo, hi := k*lev.bMax, (k+1)*lev.bMax
+			g.bCol[k], g.bVal[k] = g.colBuf[lo:lo:hi], g.valBuf[lo:lo:hi]
+		}
+	}
+	return g
+}
+
+// resize returns s with length n, reallocated (zeroed) only when too short,
+// so a zero-invariant buffer stays all zero.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// ringRow returns the ring slot of intermediate row (p, i, J) of level lev,
+// computing the row into it unless the ring already holds it. fv is the
+// finer level's values, nil for the pattern alone.
+func (g *galerkinScratch) ringRow(lev, fine *mgLevel, fv []float64, p, i, J int) int {
+	slot := ((i&3)*lev.nx+J)*lev.layers + p
+	if g.tag[slot] != int32(i) {
+		g.tag[slot] = int32(i)
+		if g.stamp == math.MaxInt32 {
+			clear(g.mark[:cap(g.mark)]) // a later resize may expose the rest
+			g.stamp = 0
+		}
+		g.stamp++
+		if fv == nil {
+			g.bCol[slot] = g.bPattern(lev, fine, p, i, J, g.bCol[slot][:0])
+		} else {
+			g.bCol[slot], g.bVal[slot] = g.bRow(lev, fine, fv, p, i, J, g.bCol[slot][:0], g.bVal[slot][:0])
+		}
+	}
+	return slot
+}
+
+// bRow appends intermediate row (p, i, J) of (I ⊗ P_x)ᵀ·A·(I ⊗ P_x), the
+// finer level's rows (p, i, j) for the x-children j of J, each x-coarsened
+// on its columns, to cols and its values, from the finer level's values fv,
+// to vals. Columns are in first-touch order and every value sums its terms
+// in a fixed order, so the row is a fixed function of fv.
+func (g *galerkinScratch) bRow(lev, fine *mgLevel, fv []float64, p, i, J int, cols []int32, vals []float64) ([]int32, []float64) {
+	stamp, mark, acc, xPar := g.stamp, g.mark, g.acc, lev.xPar
+	layers := uint32(lev.layers)
+	ch := lev.xCh.ptr[J] // children ch … ch+len-1
+	// Every term may be a first touch, so each is written to tmp (room for
+	// two terms per entry of ≤4 rows) unconditionally and kept by a
+	// branch-free count.
+	tmp, n := g.tmp, 0
+	for k, j := range lev.xCh.idx[ch:lev.xCh.ptr[J+1]] {
+		wj := lev.xCh.w[int(ch)+k]
+		f := (i*fine.nx+int(j))*lev.layers + p
+		lo, hi := fine.rowPtr[f], fine.rowPtr[f+1]
+		fcols, fvals := fine.col[lo:hi], fv[lo:hi]
+		fvals = fvals[:len(fcols)]
+		for s, fj := range fcols {
+			v := wj * fvals[s]
+			par, q := &xPar[uint32(fj)/layers], int32(uint32(fj)%layers)
+			x := par.c[0] + q
+			tmp[n] = x
+			if mark[x] != stamp {
+				n++
+			}
+			mark[x] = stamp
+			acc[x] += v * par.w[0]
+			if x = par.c[1]; x >= 0 {
+				x += q
+				tmp[n] = x
+				if mark[x] != stamp {
+					n++
+				}
+				mark[x] = stamp
+				acc[x] += v * par.w[1]
+			}
+		}
+	}
+	cols = append(cols, tmp[:n]...)
+	for _, x := range tmp[:n] {
+		vals = append(vals, acc[x])
+		acc[x] = 0
+	}
+	return cols, vals
+}
+
+// bPattern appends the columns of intermediate row (p, i, J), in bRow's
+// order, to cols.
+func (g *galerkinScratch) bPattern(lev, fine *mgLevel, p, i, J int, cols []int32) []int32 {
+	layers := uint32(lev.layers)
+	for _, j := range lev.xCh.idx[lev.xCh.ptr[J]:lev.xCh.ptr[J+1]] {
+		f := (i*fine.nx+int(j))*lev.layers + p
+		for _, fj := range fine.col[fine.rowPtr[f]:fine.rowPtr[f+1]] {
+			q := int32(uint32(fj) % layers)
+			for _, x := range lev.xPar[uint32(fj)/layers].c {
+				if x < 0 {
+					break
+				}
+				if x += q; g.mark[x] != g.stamp {
+					g.mark[x] = g.stamp
+					cols = append(cols, x)
+				}
+			}
+		}
 	}
 	return cols
 }
@@ -491,9 +726,11 @@ func buildMGStructure(a *CSR, geo GridGeometry) *mgStructure {
 		} else {
 			buildProlongation(lev, fine.nx, fine.ny)
 			lev.coarsePattern(fine)
-			s.maxCoarseN = max(s.maxCoarseN, lev.n)
 		}
 		lev.findSlots()
+		for i := range lev.n {
+			lev.maxRow = max(lev.maxRow, int(lev.rowPtr[i+1]-lev.rowPtr[i]))
+		}
 		s.levels = append(s.levels, lev)
 		if !lev.line {
 			return s
@@ -538,6 +775,30 @@ type mgCycle struct {
 // every core.
 const galerkinGrainRows = 256
 
+// runs returns how many workers share n rows: min(GOMAXPROCS,
+// n/galerkinGrainRows), at least one.
+func runs(n int) int { return max(1, min(runtime.GOMAXPROCS(0), n/galerkinGrainRows)) }
+
+// forRuns splits [0, n) into w contiguous runs and calls fn(k, lo, hi) for
+// run k, on w goroutines when w > 1 and on the caller otherwise, returning
+// when every run is done. Work whose runs each write only their own output
+// gives the same result for every w.
+func forRuns(w, n int, fn func(k, lo, hi int)) {
+	if w == 1 {
+		fn(0, 0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	for k := range w {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(k, k*n/w, (k+1)*n/w)
+		}()
+	}
+	wg.Wait()
+}
+
 // Multigrid is a geometric multigrid V-cycle over a bound matrix,
 // implementing Preconditioner. The bound matrix's values may change freely
 // between solves (the thermal delta-assembly path rewrites them in place);
@@ -556,9 +817,8 @@ type Multigrid struct {
 	a *CSR
 
 	lv   []mgLevelData
-	chol []float64   // dense Cholesky factor of the coarsest level, nil → GS fallback
-	ws   [][]float64 // Galerkin scatter workspaces, maxCoarseN long, one per Refresh worker
-	rows []int32     // one level's marked rows, Refresh scratch
+	chol []float64 // dense Cholesky factor of the coarsest level, nil → GS fallback
+	rows []int32   // one level's marked rows, Refresh scratch
 
 	mu   sync.Mutex
 	free []*mgCycle // idle V-cycle scratch
@@ -589,7 +849,6 @@ func NewMultigrid(a *CSR, geo GridGeometry) (*Multigrid, error) {
 		s:        s,
 		a:        a,
 		lv:       make([]mgLevelData, len(s.levels)),
-		ws:       [][]float64{make([]float64, s.maxCoarseN)},
 		needFull: true,
 	}
 	last := len(s.levels) - 1
@@ -682,27 +941,38 @@ func (mg *Multigrid) Refresh() error {
 func (mg *Multigrid) markFine(full bool) {
 	lev := mg.s.levels[0]
 	snap, live, dirty := mg.lv[0].a.Val, mg.a.Val, mg.lv[0].dirty
-	for i := range dirty {
-		row, src := snap[lev.rowPtr[i]:lev.rowPtr[i+1]], lev.src[lev.rowPtr[i]:]
-		src = src[:len(row)]
-		changed := full
-		for k := 0; k < len(row) && !changed; k++ {
-			changed = math.Float64bits(row[k]) != math.Float64bits(live[src[k]])
-		}
-		if changed {
-			for k, j := range src {
-				row[k] = live[j]
+	forRuns(runs(len(dirty)), len(dirty), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row, src := snap[lev.rowPtr[i]:lev.rowPtr[i+1]], lev.src[lev.rowPtr[i]:]
+			src = src[:len(row)]
+			changed := full
+			for k := 0; k < len(row) && !changed; k++ {
+				changed = math.Float64bits(row[k]) != math.Float64bits(live[src[k]])
 			}
+			if changed {
+				for k, j := range src {
+					row[k] = live[j]
+				}
+			}
+			dirty[i] = changed
 		}
-		dirty[i] = changed
-	}
+	})
 }
 
 // markParents marks the rows of level l that have a marked child on level
-// l-1: exactly the Galerkin rows whose inputs changed.
+// l-1: exactly the Galerkin rows whose inputs changed. Since P = P_y ⊗ P_x
+// these are the y-parents of the intermediate rows whose x-children
+// changed, and galerkinRow recomputes each from freshly computed
+// intermediate rows.
 func (mg *Multigrid) markParents(l int) {
 	lev, fine, dirty := mg.s.levels[l], mg.s.levels[l-1], mg.lv[l].dirty
 	clear(dirty)
+	if !slices.Contains(mg.lv[l-1].dirty, false) {
+		for i := range dirty { // every row has a child
+			dirty[i] = true
+		}
+		return
+	}
 	for f, changed := range mg.lv[l-1].dirty {
 		if changed {
 			p, c := fine.pos(f)
@@ -738,8 +1008,27 @@ func (mg *Multigrid) refreshSmoother(l int) error {
 	// up/down couplings) as LDLᵀ for the line smoother. The blocks are
 	// principal submatrices of an SPD operator, so positive pivots are
 	// guaranteed in exact arithmetic; a non-positive one means the operator
-	// itself lost definiteness. A block reads only its own column's rows.
-	for c := 0; c < lev.nx*lev.ny; c++ {
+	// itself lost definiteness. A block reads only its own column's rows, so
+	// runs of columns factor in parallel, and the first run's error is the
+	// one a serial sweep would meet first.
+	nxy := lev.nx * lev.ny
+	w := runs(lev.n)
+	errs := make([]error, w)
+	forRuns(w, nxy, func(k, lo, hi int) { errs[k] = mg.factorLines(l, lo, hi) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// factorLines refactors the line-smoother blocks of level l's in-plane
+// columns [lo, hi) that hold a marked row, in column order, and returns the
+// first non-positive pivot as an error.
+func (mg *Multigrid) factorLines(l, lo, hi int) error {
+	lev, d := mg.s.levels[l], &mg.lv[l]
+	for c := lo; c < hi; c++ {
 		changed := false
 		for p := 0; p < lev.layers && !changed; p++ {
 			changed = d.dirty[lev.row(p, c)]
@@ -772,7 +1061,7 @@ func (mg *Multigrid) refreshSmoother(l int) error {
 // galerkinLevel recomputes level l's marked rows. A row reads only level
 // l-1 and writes only its own slots, so contiguous runs of the marked rows
 // go to min(GOMAXPROCS, marked/galerkinGrainRows) workers, each with its own
-// scatter workspace, and the values do not depend on the split.
+// scratch, and the values do not depend on the split.
 func (mg *Multigrid) galerkinLevel(l int) {
 	rows := mg.rows[:0]
 	for I, dirty := range mg.lv[l].dirty {
@@ -781,56 +1070,50 @@ func (mg *Multigrid) galerkinLevel(l int) {
 		}
 	}
 	mg.rows = rows
-	w := min(runtime.GOMAXPROCS(0), len(rows)/galerkinGrainRows)
-	if w < 2 {
-		for _, I := range rows {
-			mg.galerkinRow(l, int(I), mg.ws[0])
-		}
+	if len(rows) == 0 {
 		return
 	}
-	for len(mg.ws) < w {
-		mg.ws = append(mg.ws, make([]float64, mg.s.maxCoarseN))
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(part []int32, ws []float64) {
-			defer wg.Done()
-			for _, I := range part {
-				mg.galerkinRow(l, int(I), ws)
-			}
-		}(rows[k*len(rows)/w:(k+1)*len(rows)/w], mg.ws[k])
-	}
-	wg.Wait()
+	forRuns(runs(len(rows)), len(rows), func(_, lo, hi int) {
+		g := takeGalerkin(mg.s.levels[l], mg.s.levels[l-1], true)
+		defer galerkinPool.Put(g)
+		for _, I := range rows[lo:hi] {
+			mg.galerkinRow(l, int(I), g)
+		}
+	})
 }
 
-// galerkinRow recomputes row I of level l's operator as (Pᵀ·A·P)[I,:] from
-// level l-1's operator and level l's interpolation: contributions are
-// scattered into the dense workspace ws through the fixed interpolation
-// lists and gathered back into the (superset-by-construction) pattern slots,
-// which also re-zeroes ws. Serial and in fixed order, hence deterministic,
-// and independent of every other row.
-func (mg *Multigrid) galerkinRow(l, I int, ws []float64) {
+// galerkinRow recomputes row (P, I, J) of level l's operator as
+// (P_yᵀ·B·P_y)[row,:], where B = (I ⊗ P_x)ᵀ·A·(I ⊗ P_x) is the finer level's
+// operator x-coarsened on both sides: the row's ≤4 intermediate rows
+// (P, i, J) for the y-children i of I come from g's ring, and then each of
+// their entries is scattered onto its ≤2 y-parents in the dense workspace
+// g.acc, which is gathered back into the (equal-by-construction) pattern
+// slots and re-zeroed. P = P_y ⊗ P_x, so this is Pᵀ·A·P with ≤2 parents per entry in
+// each pass where the direct product has 4 per entry and 4×4 children per
+// row. Serial and in fixed order, hence deterministic, and independent of
+// every other row and of which rows the ring already holds.
+func (mg *Multigrid) galerkinRow(l, I int, g *galerkinScratch) {
 	lev, fineLev := mg.s.levels[l], mg.s.levels[l-1]
-	fine, coarse := mg.lv[l-1].a, mg.lv[l].a
-	pPtr, pCol, pW := lev.pPtr, lev.pCol, lev.pW
-	cs, ps := lev.row(0, 1), lev.row(1, 0)
-	layers := uint32(fineLev.layers) // the finer level is line-major
+	fv, coarse := mg.lv[l-1].a.Val, mg.lv[l].a
+	ps, mask := lev.row(1, 0), int32(1)<<lev.bShift-1
+	ws := g.acc
 	P, C := lev.pos(I)
-	for q := lev.ptPtr[C]; q < lev.ptPtr[C+1]; q++ {
-		fi := fineLev.row(P, int(lev.ptCol[q]))
-		wI := lev.ptW[q]
-		lo, hi := fine.RowPtr[fi], fine.RowPtr[fi+1]
-		fcols, fvals := fine.Col[lo:hi], fine.Val[lo:hi]
-		fvals = fvals[:len(fcols)]
-		for k, fj := range fcols {
-			v := wI * fvals[k]
-			pj, cj := uint32(fj)%layers, uint32(fj)/layers
-			parents, w := pCol[pPtr[cj]:pPtr[cj+1]], pW[pPtr[cj]:]
-			w = w[:len(parents)]
-			base := int(pj) * ps
-			for m, Cq := range parents {
-				ws[base+int(Cq)*cs] += v * w[m]
+	iy, J := C/lev.nx, C%lev.nx
+	lo, hi := lev.yCh.ptr[iy], lev.yCh.ptr[iy+1]
+	var slots [4]int // the intermediate rows come first: they use acc too
+	for q := lo; q < hi; q++ {
+		slots[q-lo] = g.ringRow(lev, fineLev, fv, P, int(lev.yCh.idx[q]), J)
+	}
+	for q := lo; q < hi; q++ {
+		wi := lev.yCh.w[q]
+		cols, vals := g.bCol[slots[q-lo]], g.bVal[slots[q-lo]]
+		vals = vals[:len(cols)]
+		for k, b := range cols {
+			v := wi * vals[k]
+			par, off := &lev.yPar[b>>lev.bShift], int(b&mask)*ps
+			ws[off+int(par.c[0])] += v * par.w[0]
+			if c := par.c[1]; c >= 0 {
+				ws[off+int(c)] += v * par.w[1]
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tap25d/internal/geom"
+	"tap25d/internal/material"
 	"tap25d/internal/obs"
 )
 
@@ -22,13 +23,16 @@ func TestDisabledObsOverheadGuard(t *testing.T) {
 
 	// The exact per-solve nil-path sequence SolveContext executes when
 	// m.obs == nil: solve span, assemble child span with a label rewrite,
-	// the Enabled gate, and the CG trace teardown.
+	// a multigrid model's hierarchy refresh child, the Enabled gate, and the
+	// CG trace teardown.
 	nilPath := func() {
 		var o *obs.Observer
 		sp := o.StartSpanCtx(context.Background(), obs.PhaseThermalSolve, "")
 		asp := sp.Child(obs.PhaseThermalAssemble, "delta")
 		asp.SetLabel("skip")
 		asp.End()
+		msp := sp.Child(obs.PhaseMGRefresh, "refresh")
+		msp.End()
 		if o.Enabled() {
 			t.Fatal("nil observer reports enabled")
 		}
@@ -74,5 +78,40 @@ func TestDisabledObsOverheadGuard(t *testing.T) {
 	if ratio > 0.01 {
 		t.Fatalf("disabled observability costs %.2f%% of a warm solve (limit 1%%): %v ns vs %v ns",
 			100*ratio, instrNS, solveNS)
+	}
+}
+
+// TestMGRefreshSpans: a multigrid model builds its hierarchy, and refreshes
+// it after each value-changing assembly, inside an mg_refresh child of the
+// solve's thermal_solve span, so a job trace shows what a fresh hierarchy
+// costs. A grid-64 model's first two value-changing solves record one
+// build span and one refresh span.
+func TestMGRefreshSpans(t *testing.T) {
+	o := obs.New()
+	pc := precondCases()[1] // cpudram
+	stack := material.DefaultStackFor(pc.w, pc.h)
+	m, err := NewModel(pc.w, pc.h, Options{Grid: 64, Stack: &stack, Precond: precondMG, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := append([]Source(nil), pc.sources...)
+	moved[4].Rect.Center = geom.Point{X: 6.5, Y: 4.5} // DRAM0 away from its corner
+	for _, src := range [][]Source{pc.sources, moved} {
+		if _, err := m.Solve(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var labels []string
+	for _, rec := range o.RecentSpans() {
+		if rec.Phase != obs.PhaseMGRefresh.String() {
+			continue
+		}
+		if rec.Parent != obs.PhaseThermalSolve.String() {
+			t.Errorf("mg_refresh span under %q, want thermal_solve", rec.Parent)
+		}
+		labels = append(labels, rec.Label)
+	}
+	if len(labels) != 2 || labels[0] != "build" || labels[1] != "refresh" {
+		t.Errorf("mg_refresh spans labeled %q, want [build refresh]", labels)
 	}
 }

@@ -127,7 +127,7 @@ func (m *Model) recoverSolve(ctx context.Context, a *sparse.CSR, cg *sparse.CGSo
 			m.ctr.CGFallbackPrecond++
 		}
 		m.obs.Add("cg_fallback_precond", 1)
-		mg, err := m.ensureMG(a)
+		mg, err := m.ensureMG(sp, a)
 		if err != nil {
 			sp.End()
 			return rec, 0, err

@@ -266,7 +266,7 @@ func TestMultigridBudgetStopsStalledSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg, err := m.ensureMG(a)
+	mg, err := m.ensureMG(nil, a)
 	if err != nil {
 		t.Fatal(err)
 	}

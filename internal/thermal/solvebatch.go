@@ -70,7 +70,7 @@ func (m *Model) SolveBatch(ctx context.Context, specs [][]Source) ([]*Result, er
 	opt := sparse.CGOptions{Tol: cgTol, MaxIter: m.maxIter, Inject: m.inject}
 	var cycles0 int64
 	if m.precond == precondMG {
-		mg, err := m.ensureMG(a)
+		mg, err := m.ensureMG(sp, a)
 		if err != nil {
 			return nil, fmt.Errorf("thermal: %w", err)
 		}

@@ -492,7 +492,7 @@ func (m *Model) solveSpanned(ctx context.Context, sp *obs.Span, sources []Source
 	if err != nil {
 		return nil, err
 	}
-	return m.solveAssembled(ctx, a, cg)
+	return m.solveAssembled(ctx, sp, a, cg)
 }
 
 // prepareAssembled rasterizes sources and brings the conductance matrix up to
@@ -570,11 +570,14 @@ func (m *Model) prepareAssembled(sp *obs.Span, sources []Source) (*sparse.CSR, *
 // rebuild or a DisableIncremental solve produces a fresh CSR) and numerically
 // refreshing it after every value-changing assembly. The symbolic
 // coarsening is cached process-wide by (geometry, pattern), so replicas and
-// worker pools solving the same stack share it.
-func (m *Model) ensureMG(a *sparse.CSR) (*sparse.Multigrid, error) {
+// worker pools solving the same stack share it. Either step runs in an
+// mg_refresh child of sp (labeled build or refresh).
+func (m *Model) ensureMG(sp *obs.Span, a *sparse.CSR) (*sparse.Multigrid, error) {
 	if m.mg == nil || m.mgA != a {
 		geo := sparse.GridGeometry{Layers: m.nDevLayers + 2, Nx: m.grid, Ny: m.grid}
+		msp := sp.Child(obs.PhaseMGRefresh, "build")
 		mg, err := sparse.NewMultigrid(a, geo)
+		msp.End()
 		if err != nil {
 			return nil, err
 		}
@@ -586,7 +589,10 @@ func (m *Model) ensureMG(a *sparse.CSR) (*sparse.Multigrid, error) {
 		return mg, nil
 	}
 	if m.valGen != m.mgGen {
-		if err := m.mg.Refresh(); err != nil {
+		msp := sp.Child(obs.PhaseMGRefresh, "refresh")
+		err := m.mg.Refresh()
+		msp.End()
+		if err != nil {
 			return nil, err
 		}
 		m.mgGen = m.valGen
@@ -663,14 +669,15 @@ func (m *Model) RestoreWarmState(temps []float64) error {
 
 // solveAssembled runs CG on the assembled system and extracts the result.
 // When cg is non-nil its scratch buffers are reused; otherwise a one-shot
-// solve runs on a (bit-identical, just slower to set up).
-func (m *Model) solveAssembled(ctx context.Context, a *sparse.CSR, cg *sparse.CGSolver) (*Result, error) {
+// solve runs on a (bit-identical, just slower to set up). sp (nil when
+// observability is disabled) parents the hierarchy's mg_refresh span.
+func (m *Model) solveAssembled(ctx context.Context, sp *obs.Span, a *sparse.CSR, cg *sparse.CGSolver) (*Result, error) {
 	if !m.warm {
 		m.coldGuess()
 	}
 	opt := sparse.CGOptions{Tol: cgTol, MaxIter: m.maxIter, Inject: m.inject}
 	if m.precond == precondMG {
-		mg, err := m.ensureMG(a)
+		mg, err := m.ensureMG(sp, a)
 		if err != nil {
 			m.warm = false
 			return nil, fmt.Errorf("thermal: %w", err)

@@ -100,6 +100,20 @@ func TestPlaceCompactFlow(t *testing.T) {
 	}
 }
 
+// TestPlaceLegalizesEveryRunStart: run 1 of this flow (seed 5) starts from
+// a Compact-2.5D packing that only Legalize's corner pass can put on the
+// grid; without it the run fails and the flow errors or drops the run.
+func TestPlaceLegalizesEveryRunStart(t *testing.T) {
+	sys, _ := BuiltinSystem("cpudram")
+	res, err := Place(sys, Options{ThermalGrid: 16, Steps: 2, Runs: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.CheckPlacement(res.Placement); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPlaceFlowImprovesTemperature(t *testing.T) {
 	sys, _ := BuiltinSystem("cpudram")
 	opt := fastOpt()
