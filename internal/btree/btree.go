@@ -54,7 +54,8 @@ type node struct {
 	parent, left, right int
 }
 
-// tree is a B*-tree over n blocks.
+// tree is a B*-tree over n blocks. The fields after w, h are scratch that
+// pack and moveBlock reuse, so an anneal allocates nothing per step.
 type tree struct {
 	nodes []node
 	blk   []int // node -> block
@@ -62,6 +63,17 @@ type tree struct {
 	root  int
 	rot   []bool    // per block
 	w, h  []float64 // per block, inflated, unrotated
+
+	xs, ys, nodeX []float64 // pack's per-block corners and per-node x
+	stack         []int     // pack's DFS stack
+	slots         []slot    // moveBlock's free child slots
+	sky           contour   // pack's skyline
+}
+
+// slot is a free child position: the left or right child of parent.
+type slot struct {
+	parent int
+	left   bool
 }
 
 func newTree(n int, w, h []float64) *tree {
@@ -91,16 +103,14 @@ func newTree(n int, w, h []float64) *tree {
 	return t
 }
 
-func (t *tree) clone() *tree {
-	return &tree{
-		nodes: append([]node{}, t.nodes...),
-		blk:   append([]int{}, t.blk...),
-		pos:   append([]int{}, t.pos...),
-		root:  t.root,
-		rot:   append([]bool{}, t.rot...),
-		w:     t.w,
-		h:     t.h,
-	}
+// copyFrom makes t the same tree as src, reusing t's storage.
+func (t *tree) copyFrom(src *tree) {
+	t.nodes = append(t.nodes[:0], src.nodes...)
+	t.blk = append(t.blk[:0], src.blk...)
+	t.pos = append(t.pos[:0], src.pos...)
+	t.root = src.root
+	t.rot = append(t.rot[:0], src.rot...)
+	t.w, t.h = src.w, src.h
 }
 
 // blockDims returns the (possibly rotated) dimensions of block b.
@@ -152,11 +162,7 @@ func (t *tree) moveBlock(b int, rng *rand.Rand) {
 	t.nodes[nd].parent = -1
 
 	// Reattach at a random free slot (excluding the detached node itself).
-	type slot struct {
-		parent int
-		left   bool
-	}
-	var slots []slot
+	slots := t.slots[:0]
 	for j := range t.nodes {
 		if j == nd {
 			continue
@@ -168,6 +174,7 @@ func (t *tree) moveBlock(b int, rng *rand.Rand) {
 			slots = append(slots, slot{j, false})
 		}
 	}
+	t.slots = slots
 	s := slots[rng.Intn(len(slots))]
 	t.nodes[nd].parent = s.parent
 	if s.left {
@@ -214,14 +221,20 @@ func (t *tree) validate() error {
 	return nil
 }
 
-// contour is the packing skyline: a list of segments (x0 <= x < x1, height y)
-// covering [0, +inf) left to right.
-type contour struct {
-	x0, x1, y []float64
+// segment is a piece x0 <= x < x1 of the skyline at height y.
+type segment struct {
+	x0, x1, y float64
 }
 
-func newContour() *contour {
-	return &contour{x0: []float64{0}, x1: []float64{math.Inf(1)}, y: []float64{0}}
+// contour is the packing skyline: segments covering [0, +inf) left to right.
+// place builds the new skyline in next and swaps the two buffers.
+type contour struct {
+	segs, next []segment
+}
+
+// reset makes the skyline the empty floor, keeping its storage.
+func (c *contour) reset() {
+	c.segs = append(c.segs[:0], segment{0, math.Inf(1), 0})
 }
 
 // place drops a block of width w at x, returning its resting y, and raises
@@ -229,58 +242,64 @@ func newContour() *contour {
 func (c *contour) place(x, w, h float64) float64 {
 	x1 := x + w
 	top := 0.0
-	for i := range c.x0 {
-		if c.x1[i] <= x || c.x0[i] >= x1 {
+	for _, s := range c.segs {
+		if s.x1 <= x || s.x0 >= x1 {
 			continue
 		}
-		if c.y[i] > top {
-			top = c.y[i]
+		if s.y > top {
+			top = s.y
 		}
 	}
 	newY := top + h
-	var nx0, nx1, ny []float64
+	c.next = c.next[:0]
 	pushed := false
-	push := func(a, b, yy float64) {
-		if b <= a {
-			return
-		}
-		if n := len(ny); n > 0 && ny[n-1] == yy && nx1[n-1] == a {
-			nx1[n-1] = b
-			return
-		}
-		nx0 = append(nx0, a)
-		nx1 = append(nx1, b)
-		ny = append(ny, yy)
-	}
-	for i := range c.x0 {
-		a, b, yy := c.x0[i], c.x1[i], c.y[i]
-		if b <= x || a >= x1 {
-			push(a, b, yy)
+	for _, s := range c.segs {
+		if s.x1 <= x || s.x0 >= x1 {
+			c.push(s.x0, s.x1, s.y)
 			continue
 		}
-		if a < x {
-			push(a, x, yy)
+		if s.x0 < x {
+			c.push(s.x0, x, s.y)
 		}
 		if !pushed {
-			push(x, x1, newY)
+			c.push(x, x1, newY)
 			pushed = true
 		}
-		if b > x1 {
-			push(x1, b, yy)
+		if s.x1 > x1 {
+			c.push(x1, s.x1, s.y)
 		}
 	}
-	c.x0, c.x1, c.y = nx0, nx1, ny
+	c.segs, c.next = c.next, c.segs
 	return top
 }
 
-// pack computes per-block lower-left corners of the inflated blocks.
+// push appends segment [a, b) at height y to the skyline under
+// construction, merging it into the last segment when they meet at the same
+// height.
+func (c *contour) push(a, b, y float64) {
+	if b <= a {
+		return
+	}
+	if n := len(c.next); n > 0 && c.next[n-1].y == y && c.next[n-1].x1 == a {
+		c.next[n-1].x1 = b
+		return
+	}
+	c.next = append(c.next, segment{a, b, y})
+}
+
+// pack computes per-block lower-left corners of the inflated blocks. The
+// returned slices are t's scratch, valid until t packs again.
 func (t *tree) pack() (xs, ys []float64) {
 	n := len(t.nodes)
-	xs = make([]float64, n) // per block
-	ys = make([]float64, n)
-	nodeX := make([]float64, n) // per node
-	c := newContour()
-	stack := []int{t.root}
+	if len(t.xs) != n {
+		t.xs = make([]float64, n) // per block
+		t.ys = make([]float64, n)
+		t.nodeX = make([]float64, n) // per node
+	}
+	xs, ys, nodeX := t.xs, t.ys, t.nodeX
+	c := &t.sky
+	c.reset()
+	stack := append(t.stack[:0], t.root)
 	for len(stack) > 0 {
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -304,6 +323,7 @@ func (t *tree) pack() (xs, ys []float64) {
 		// Push right then left so the left subtree packs first.
 		stack = append(stack, t.nodes[nd].right, t.nodes[nd].left)
 	}
+	t.stack = stack
 	return xs, ys
 }
 
@@ -333,6 +353,9 @@ func perturb(t *tree, rng *rand.Rand) {
 func PlaceCompact(sys *chiplet.System, opt Options) (*Result, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
+	}
+	if opt.Steps < 0 {
+		return nil, fmt.Errorf("btree: steps is %d; want 0 (the default) or more", opt.Steps)
 	}
 	n := len(sys.Chiplets)
 	steps := opt.Steps
@@ -368,23 +391,28 @@ func PlaceCompact(sys *chiplet.System, opt Options) (*Result, error) {
 		return cost
 	}
 
+	// The anneal works in place: nb is rebuilt from cur each step and the
+	// two swap on accept, and best is copied over when beaten.
 	cur := t
 	curCost := eval(cur)
-	best := cur.clone()
+	best, nb := new(tree), new(tree)
+	best.copyFrom(cur)
 	bestCost := curCost
 
-	temp := estimateInitialTemp(cur, rng, eval)
+	temp := estimateInitialTemp(cur, nb, rng, eval)
 	decay := math.Pow(1e-4, 1/float64(steps)) // reach 1e-4 * T0 by the end
 
 	for it := 0; it < steps; it++ {
-		nb := cur.clone()
+		nb.copyFrom(cur)
 		perturb(nb, rng)
 		nbCost := eval(nb)
 		d := nbCost - curCost
 		if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
-			cur, curCost = nb, nbCost
+			cur, nb = nb, cur
+			curCost = nbCost
 			if curCost < bestCost {
-				best, bestCost = cur.clone(), curCost
+				best.copyFrom(cur)
+				bestCost = curCost
 			}
 		}
 		temp *= decay
@@ -444,12 +472,14 @@ func bboxArea(t *tree, xs, ys []float64) float64 {
 	return bw * bh
 }
 
-func estimateInitialTemp(t *tree, rng *rand.Rand, eval func(*tree) float64) float64 {
+// estimateInitialTemp samples 30 perturbations of t, each rebuilt in the
+// scratch tree nb.
+func estimateInitialTemp(t, nb *tree, rng *rand.Rand, eval func(*tree) float64) float64 {
 	base := eval(t)
 	var sum float64
 	count := 0
 	for i := 0; i < 30; i++ {
-		nb := t.clone()
+		nb.copyFrom(t)
 		perturb(nb, rng)
 		if d := math.Abs(eval(nb) - base); d > 0 {
 			sum += d

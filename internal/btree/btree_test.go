@@ -3,9 +3,11 @@ package btree
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tap25d/internal/chiplet"
+	"tap25d/internal/systems"
 )
 
 func squares(n int, size float64) ([]float64, []float64) {
@@ -85,7 +87,8 @@ func TestPackIsCompactForChain(t *testing.T) {
 }
 
 func TestContour(t *testing.T) {
-	c := newContour()
+	c := new(contour)
+	c.reset()
 	if y := c.place(0, 5, 3); y != 0 {
 		t.Errorf("first block y=%v", y)
 	}
@@ -256,5 +259,48 @@ func BenchmarkPlaceCompact8(b *testing.B) {
 		if _, err := PlaceCompact(sys, Options{Seed: int64(i), Steps: 2000}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPlaceCompactAllocsIndependentOfSteps holds the anneal to its
+// in-place loop: ten times the step budget may cost only the few
+// allocations that scratch buffers need to grow to a longer skyline.
+func TestPlaceCompactAllocsIndependentOfSteps(t *testing.T) {
+	for name, sys := range systems.All() {
+		allocs := func(steps int) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if _, err := PlaceCompact(sys, Options{Seed: 1, Steps: steps}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		short, long := allocs(2000), allocs(20000)
+		t.Logf("%s: %.0f allocs at 2000 steps, %.0f at 20000", name, short, long)
+		if long > short+50 {
+			t.Errorf("%s: %.0f allocs at 20000 steps, %.0f at 2000; want at most 50 more", name, long, short)
+		}
+	}
+}
+
+func BenchmarkPlaceCompact(b *testing.B) {
+	for _, name := range systems.Names() {
+		sys, err := systems.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := PlaceCompact(sys, Options{Seed: int64(i + 1), Steps: 20000}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func TestPlaceCompactRejectsNegativeSteps(t *testing.T) {
+	if _, err := PlaceCompact(fourChipletSystem(), Options{Seed: 1, Steps: -1}); err == nil || !strings.Contains(err.Error(), "steps is -1") {
+		t.Errorf("negative steps: error %v", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"syscall"
 
 	"tap25d/internal/chiplet"
 )
@@ -284,17 +285,24 @@ func sealCheckpoint(cp *Checkpoint) ([]byte, error) {
 	return append(blob, '\n'), nil
 }
 
-// syncDir fsyncs a directory so renames within it survive a crash. Not every
-// platform/filesystem supports fsync on directories; those errors are
-// ignored — the rename itself remains atomic either way.
+// syncDir fsyncs a directory so renames within it survive a crash, and
+// reports a directory it cannot open or sync. Some platforms and
+// filesystems cannot fsync a directory at all and answer EINVAL or ENOTSUP;
+// that counts as success, since there is no stronger guarantee to get and
+// the rename itself is still atomic.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return nil
+		return err
 	}
-	defer d.Close()
-	d.Sync()
-	return nil
+	err = d.Sync()
+	if errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) {
+		err = nil
+	}
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // LoadCheckpointFile reads a checkpoint previously written by

@@ -72,3 +72,15 @@ func TestSealedFileMissingIsNotExist(t *testing.T) {
 		t.Fatalf("missing file: got err %v, want fs.ErrNotExist", err)
 	}
 }
+
+// TestSyncDirReportsMissingDirectory: a directory fsync that cannot happen
+// is an error, so a write is never reported durable without it.
+func TestSyncDirReportsMissingDirectory(t *testing.T) {
+	dir := t.TempDir()
+	if err := syncDir(dir); err != nil {
+		t.Fatalf("existing directory: %v", err)
+	}
+	if err := syncDir(filepath.Join(dir, "missing")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing directory: error %v, want one matching os.ErrNotExist", err)
+	}
+}

@@ -29,6 +29,7 @@ type pair struct {
 	posMinus      []int // block -> index in gMinus
 	rot           []bool
 	w, h          []float64 // inflated block dims, unrotated
+	xs, ys        []float64 // pack's scratch, reused so an anneal allocates nothing per step
 }
 
 func newPair(n int, w, h []float64) *pair {
@@ -48,16 +49,14 @@ func newPair(n int, w, h []float64) *pair {
 	return p
 }
 
-func (p *pair) clone() *pair {
-	return &pair{
-		gPlus:    append([]int{}, p.gPlus...),
-		gMinus:   append([]int{}, p.gMinus...),
-		posPlus:  append([]int{}, p.posPlus...),
-		posMinus: append([]int{}, p.posMinus...),
-		rot:      append([]bool{}, p.rot...),
-		w:        p.w,
-		h:        p.h,
-	}
+// copyFrom makes p the same state as src, reusing p's storage.
+func (p *pair) copyFrom(src *pair) {
+	p.gPlus = append(p.gPlus[:0], src.gPlus...)
+	p.gMinus = append(p.gMinus[:0], src.gMinus...)
+	p.posPlus = append(p.posPlus[:0], src.posPlus...)
+	p.posMinus = append(p.posMinus[:0], src.posMinus...)
+	p.rot = append(p.rot[:0], src.rot...)
+	p.w, p.h = src.w, src.h
 }
 
 func (p *pair) dims(b int) (float64, float64) {
@@ -68,11 +67,15 @@ func (p *pair) dims(b int) (float64, float64) {
 }
 
 // pack computes lower-left block corners by longest paths over the
-// horizontal and vertical constraint graphs.
+// horizontal and vertical constraint graphs. The returned slices are p's
+// scratch, valid until p packs again.
 func (p *pair) pack() (xs, ys []float64) {
 	n := len(p.gPlus)
-	xs = make([]float64, n)
-	ys = make([]float64, n)
+	if len(p.xs) != n {
+		p.xs = make([]float64, n)
+		p.ys = make([]float64, n)
+	}
+	xs, ys = p.xs, p.ys
 	// Process blocks in gMinus order for x: any block left of another
 	// precedes it in gMinus, so a single sweep relaxes all predecessors.
 	for _, b := range p.gMinus {
@@ -175,6 +178,9 @@ func PlaceCompact(sys *chiplet.System, opt Options) (*Result, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
+	if opt.Steps < 0 {
+		return nil, fmt.Errorf("seqpair: steps is %d; want 0 (the default) or more", opt.Steps)
+	}
 	n := len(sys.Chiplets)
 	steps := opt.Steps
 	if steps == 0 {
@@ -208,18 +214,24 @@ func PlaceCompact(sys *chiplet.System, opt Options) (*Result, error) {
 		return cost
 	}
 
+	// The anneal works in place: nb is rebuilt from cur each step and the
+	// two swap on accept, and best is copied over when beaten.
 	curCost := eval(cur)
-	best, bestCost := cur.clone(), curCost
-	temp := initialTemp(cur, rng, eval)
+	best, nb := new(pair), new(pair)
+	best.copyFrom(cur)
+	bestCost := curCost
+	temp := initialTemp(cur, nb, rng, eval)
 	decay := math.Pow(1e-4, 1/float64(steps))
 	for it := 0; it < steps; it++ {
-		nb := cur.clone()
+		nb.copyFrom(cur)
 		nb.perturb(rng)
 		nbCost := eval(nb)
 		if d := nbCost - curCost; d <= 0 || rng.Float64() < math.Exp(-d/temp) {
-			cur, curCost = nb, nbCost
+			cur, nb = nb, cur
+			curCost = nbCost
 			if curCost < bestCost {
-				best, bestCost = cur.clone(), curCost
+				best.copyFrom(cur)
+				bestCost = curCost
 			}
 		}
 		temp *= decay
@@ -271,12 +283,14 @@ func bbox(p *pair, xs, ys []float64) (float64, float64) {
 	return bw, bh
 }
 
-func initialTemp(p *pair, rng *rand.Rand, eval func(*pair) float64) float64 {
+// initialTemp samples 30 perturbations of p, each rebuilt in the scratch
+// state nb.
+func initialTemp(p, nb *pair, rng *rand.Rand, eval func(*pair) float64) float64 {
 	base := eval(p)
 	var sum float64
 	count := 0
 	for i := 0; i < 30; i++ {
-		nb := p.clone()
+		nb.copyFrom(p)
 		nb.perturb(rng)
 		if d := math.Abs(eval(nb) - base); d > 0 {
 			sum += d

@@ -3,10 +3,12 @@ package seqpair
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tap25d/internal/btree"
 	"tap25d/internal/chiplet"
+	"tap25d/internal/systems"
 )
 
 func TestRelationsPartitionPairs(t *testing.T) {
@@ -221,5 +223,48 @@ func TestPlaceCompactRejectsImpossible(t *testing.T) {
 func TestPlaceCompactRejectsInvalidSystem(t *testing.T) {
 	if _, err := PlaceCompact(&chiplet.System{}, Options{}); err == nil {
 		t.Error("invalid system accepted")
+	}
+}
+
+// TestPlaceCompactAllocsIndependentOfSteps holds the anneal to its
+// in-place loop: ten times the step budget may cost at most 50 more
+// allocations.
+func TestPlaceCompactAllocsIndependentOfSteps(t *testing.T) {
+	for name, sys := range systems.All() {
+		allocs := func(steps int) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if _, err := PlaceCompact(sys, Options{Seed: 1, Steps: steps}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		short, long := allocs(2000), allocs(20000)
+		t.Logf("%s: %.0f allocs at 2000 steps, %.0f at 20000", name, short, long)
+		if long > short+50 {
+			t.Errorf("%s: %.0f allocs at 20000 steps, %.0f at 2000; want at most 50 more", name, long, short)
+		}
+	}
+}
+
+func BenchmarkPlaceCompact(b *testing.B) {
+	for _, name := range systems.Names() {
+		sys, err := systems.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := PlaceCompact(sys, Options{Seed: int64(i + 1), Steps: 20000}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func TestPlaceCompactRejectsNegativeSteps(t *testing.T) {
+	if _, err := PlaceCompact(compactSystem(), Options{Seed: 1, Steps: -1}); err == nil || !strings.Contains(err.Error(), "steps is -1") {
+		t.Errorf("negative steps: error %v", err)
 	}
 }

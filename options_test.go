@@ -123,3 +123,37 @@ func TestWritePlacementSVGFacade(t *testing.T) {
 		t.Error("SVG incomplete")
 	}
 }
+
+// TestNegativeBudgetsRejected: a negative step or run budget is an error
+// that names the field, at every entry point that reads one, instead of a
+// silently skipped anneal.
+func TestNegativeBudgetsRejected(t *testing.T) {
+	sys, err := BuiltinSystem("multigpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := map[string]func(*System, Options) (*Result, error){
+		"Place":               Place,
+		"PlaceCompact":        PlaceCompact,
+		"PlaceCompactSeqPair": PlaceCompactSeqPair,
+	}
+	for _, c := range []struct {
+		field string
+		opt   Options
+	}{
+		{"Steps", Options{Steps: -4}},
+		{"Runs", Options{Runs: -1}},
+		{"CompactSteps", Options{CompactSteps: -20000}},
+	} {
+		for name, place := range entries {
+			res, err := place(sys, c.opt)
+			if err == nil || res != nil {
+				t.Errorf("%s with negative %s: result %v, error %v; want an error", name, c.field, res, err)
+				continue
+			}
+			if !strings.Contains(err.Error(), "Options."+c.field+" ") {
+				t.Errorf("%s with negative %s: error %q does not name the field", name, c.field, err)
+			}
+		}
+	}
+}

@@ -257,7 +257,7 @@ type Options struct {
 	// paper; use 32 for fast exploration).
 	ThermalGrid int
 	// Steps is the SA step budget per run (default 1000; the paper uses
-	// 4500).
+	// 4500). Negative Steps, Runs and CompactSteps are errors.
 	Steps int
 	// Runs is the number of independent annealing runs; the best solution
 	// wins (default 1; the paper uses 5).
@@ -391,6 +391,20 @@ func (o Options) placerOptions() placer.Options {
 	}
 }
 
+// checkBudgets rejects negative step and run budgets, naming the field, as
+// the service's job validation does; 0 selects each field's default.
+func (o Options) checkBudgets() error {
+	for _, f := range []struct {
+		name string
+		val  int
+	}{{"Steps", o.Steps}, {"Runs", o.Runs}, {"CompactSteps", o.CompactSteps}} {
+		if f.val < 0 {
+			return fmt.Errorf("tap25d: Options.%s is %d; want 0 (the default) or more", f.name, f.val)
+		}
+	}
+	return nil
+}
+
 func (o Options) context() context.Context {
 	if o.Context != nil {
 		return o.Context
@@ -507,6 +521,9 @@ func Place(sys *System, opt Options) (*Result, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
+	if err := opt.checkBudgets(); err != nil {
+		return nil, err
+	}
 	factory := func() (placer.Evaluator, error) {
 		ev, err := placer.NewSystemEvaluator(sys, opt.thermalOptions(sys), opt.routeOptions())
 		if err != nil {
@@ -522,7 +539,7 @@ func Place(sys *System, opt Options) (*Result, error) {
 		return ev, nil
 	}
 	runs := opt.Runs
-	if runs <= 0 {
+	if runs == 0 {
 		runs = 1
 	}
 	pres, perr := placer.PlaceBestOfContext(opt.context(), sys, factory, runs, opt.placerOptions())
@@ -551,6 +568,9 @@ func PlaceCompact(sys *System, opt Options) (*Result, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
+	if err := opt.checkBudgets(); err != nil {
+		return nil, err
+	}
 	steps := opt.CompactSteps
 	if steps == 0 {
 		steps = 20000
@@ -569,6 +589,9 @@ func PlaceCompact(sys *System, opt Options) (*Result, error) {
 // the B*-tree baseline.
 func PlaceCompactSeqPair(sys *System, opt Options) (*Result, error) {
 	if err := sys.Validate(); err != nil {
+		return nil, err
+	}
+	if err := opt.checkBudgets(); err != nil {
 		return nil, err
 	}
 	steps := opt.CompactSteps
