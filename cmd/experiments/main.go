@@ -102,7 +102,7 @@ func newFlagSet(name string) (*flag.FlagSet, *cliFlags) {
 		evalBudget:     fs.Int("eval-failure-budget", 0, "skip up to N consecutive transiently-failed SA steps per run (0: fail fast)"),
 		noSur:          fs.Bool("no-surrogate", false, "disable the analytical-surrogate prescreen that is on by default (every SA step pays an exact thermal solve; byte-identical to the pre-surrogate flow)"),
 		benchOut:       fs.String("bench-out", "", "run the surrogate-vs-exact E1 micro-benchmark and write its BENCH_*.json entries to this file (skips the experiment sweep)"),
-		solverBenchOut: fs.String("solver-bench-out", "", "run the CG preconditioner-scaling / batched multi-RHS benchmark and write its BENCH_*.json entries to this file (skips the experiment sweep)"),
+		solverBenchOut: fs.String("solver-bench-out", "", "run the CG preconditioner-scaling benchmark and write its BENCH_*.json entries to this file (skips the experiment sweep)"),
 		solverGrids:    fs.String("solver-grids", "64,128,256", "comma-separated ascending grid sizes for -solver-bench-out"),
 		version:        fs.Bool("version", false, "print the build version and exit"),
 	}
@@ -306,9 +306,8 @@ func runBench(cfg experiments.Config, path string) {
 }
 
 // runSolverBench regenerates the BENCH_SOLVER.json artifact: the CG
-// preconditioners (jacobi/mg) across the given grid sizes plus the
-// batched multi-RHS throughput comparison (see internal/experiments
-// BenchmarkSolverScaling for the measurement protocol).
+// preconditioners (jacobi/mg) across the given grid sizes (see
+// internal/experiments BenchmarkSolverScaling for the measurement protocol).
 func runSolverBench(gridsCSV, path string) {
 	var grids []int
 	for _, s := range strings.Split(gridsCSV, ",") {

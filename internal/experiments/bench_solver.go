@@ -1,22 +1,15 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"tap25d/internal/material"
-	"tap25d/internal/metrics"
 	"tap25d/internal/obs"
 	"tap25d/internal/placer"
 	"tap25d/internal/systems"
 	"tap25d/internal/thermal"
 )
-
-// solverBatchB is the batch width of the multi-RHS throughput comparison: the
-// service worker pool and best-of-N flows run ~5-8 scenarios per placement,
-// so 8 is the representative batch.
-const solverBatchB = 8
 
 // solverWarmSolves is how many perturbed-placement solves the per-grid timing
 // averages over after the untimed setup solve.
@@ -35,10 +28,7 @@ const solverWarmSolves = 3
 // amortization claim is checkable. The scale-free headline entries are the mg
 // iteration growth from the smallest to the largest grid (near-constant is
 // the point of the hierarchy) and the mg-vs-jacobi per-solve speedup at the
-// largest grid. It also measures the batched multi-RHS path: SolveBatch over
-// solverBatchB power scenarios of one placement (one assembly, one hierarchy)
-// against the same scenarios solved by independent fresh models, which is how
-// independent service jobs would run them.
+// largest grid.
 //
 // The grids slice must be ascending; BENCH_SOLVER.json commits the 64/128/256
 // paper-fidelity run and CI regenerates the same grids on shared runners,
@@ -106,57 +96,14 @@ func BenchmarkSolverScaling(grids []int) (*Report, []obs.BenchEntry, error) {
 		obs.BenchEntry{Name: fmt.Sprintf("tap25d/solver/g%d/mg_vs_jacobi_speedup", gHi), Unit: "x", Value: mgSpeedup},
 	)
 
-	// Batched multi-RHS throughput at the middle grid: one placement under
-	// solverBatchB power corners, batched against independent fresh models.
-	gBatch := grids[len(grids)/2]
-	specs := powerScenarios(sources, solverBatchB)
-	naive0 := time.Now()
-	for c, spec := range specs {
-		stack := material.DefaultStackFor(sys.InterposerW, sys.InterposerH)
-		model, err := thermal.NewModel(sys.InterposerW, sys.InterposerH,
-			thermal.Options{Grid: gBatch, Stack: &stack, Precond: "mg"})
-		if err != nil {
-			return nil, nil, err
-		}
-		if _, err := model.Solve(spec); err != nil {
-			return nil, nil, fmt.Errorf("naive scenario %d: %w", c, err)
-		}
-	}
-	naiveSec := time.Since(naive0).Seconds()
-
-	stack := material.DefaultStackFor(sys.InterposerW, sys.InterposerH)
-	var ctr metrics.Counters
-	model, err := thermal.NewModel(sys.InterposerW, sys.InterposerH,
-		thermal.Options{Grid: gBatch, Stack: &stack, Precond: "mg", Counters: &ctr})
-	if err != nil {
-		return nil, nil, err
-	}
-	batch0 := time.Now()
-	if _, err := model.SolveBatch(context.Background(), specs); err != nil {
-		return nil, nil, err
-	}
-	batchSec := time.Since(batch0).Seconds()
-	batchSpeedup := naiveSec / batchSec
-	entries = append(entries,
-		obs.BenchEntry{Name: fmt.Sprintf("tap25d/solver/g%d/batch%d_speedup", gBatch, solverBatchB), Unit: "x", Value: batchSpeedup},
-	)
-
 	rep := &Report{
 		ID:    "BENCH-SOLVER",
-		Title: "CG preconditioner scaling (jacobi/mg) and batched multi-RHS solves",
-		Rows: append(rows, Row{
-			Label: fmt.Sprintf("batch B=%d at grid %d", solverBatchB, gBatch),
-			Extra: map[string]float64{
-				"naive_s": naiveSec, "batch_s": batchSec, "speedup": batchSpeedup,
-				"mg_cycles": float64(ctr.MGCycles), "mg_setups": float64(ctr.MGSetups),
-			},
-		}),
+		Title: "CG preconditioner scaling (jacobi/mg)",
+		Rows:  rows,
 		Notes: []string{
 			fmt.Sprintf("mg iterations grew %.2fx from grid %d to %d (jacobi: %.2fx); mg %.2fx faster than jacobi at grid %d (per perturbed-placement solve, setup amortized)",
 				iterGrowth, gLo, gHi,
 				results[gHi]["jacobi"].iters/results[gLo]["jacobi"].iters, mgSpeedup, gHi),
-			fmt.Sprintf("batched %d-scenario solve %.2fx over independent fresh-model solves at grid %d",
-				solverBatchB, batchSpeedup, gBatch),
 		},
 		Elapsed: time.Since(start),
 	}
@@ -179,21 +126,4 @@ func perturbSources(sources []thermal.Source, w, h float64, k int) []thermal.Sou
 	c.Y += (h/2 - c.Y) * f
 	out[i].Rect.Center = c
 	return out
-}
-
-// powerScenarios builds b power corners of one source list: scenario c scales
-// every source's power by a deterministic factor in [0.6, 1.4], keeping the
-// footprints (and therefore the conductance matrix) untouched.
-func powerScenarios(sources []thermal.Source, b int) [][]thermal.Source {
-	specs := make([][]thermal.Source, b)
-	for c := range specs {
-		scale := 0.6 + 0.8*float64(c)/float64(b-1)
-		spec := make([]thermal.Source, len(sources))
-		copy(spec, sources)
-		for k := range spec {
-			spec[k].Power *= scale
-		}
-		specs[c] = spec
-	}
-	return specs
 }

@@ -44,7 +44,7 @@ type Counters struct {
 	CGRetries int64 `json:"cg_retries"`
 	// CGFallbackPrecond counts escalations to the multigrid-preconditioned
 	// CG fallback after a cold restart also failed to converge. Only
-	// Jacobi-path models (by default, grids below 64) take that rung.
+	// models forced onto the Jacobi preconditioner take that rung.
 	CGFallbackPrecond int64 `json:"cg_fallback_precond"`
 	// StepEvalSkipped counts annealing steps abandoned after a transient
 	// evaluation failure (under Options.EvalFailureBudget) instead of
@@ -69,8 +69,9 @@ type Counters struct {
 	SurrogateRefits int64 `json:"surrogate_refits"`
 	// MGCycles counts multigrid V-cycles applied as CG preconditioner passes;
 	// MGSetups counts hierarchy (re)coarsenings — the initial Galerkin build
-	// and every periodic numeric refresh. Both carry omitempty so flows on
-	// the default Jacobi path serialize exactly as before multigrid existed.
+	// and every periodic numeric refresh. Both carry omitempty, so counters
+	// that never saw a V-cycle serialize as they did before multigrid
+	// existed.
 	MGCycles int64 `json:"mg_cycles,omitempty"`
 	MGSetups int64 `json:"mg_setups,omitempty"`
 

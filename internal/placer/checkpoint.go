@@ -260,7 +260,7 @@ func SaveCheckpointFile(path string, cp *Checkpoint) error {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(filepath.Dir(path))
+	return SyncDir(filepath.Dir(path))
 }
 
 // sealCheckpoint returns cp in its durable envelope, as SaveCheckpointFile
@@ -285,12 +285,12 @@ func sealCheckpoint(cp *Checkpoint) ([]byte, error) {
 	return append(blob, '\n'), nil
 }
 
-// syncDir fsyncs a directory so renames within it survive a crash, and
-// reports a directory it cannot open or sync. Some platforms and
+// SyncDir fsyncs a directory so creates, renames and removes within it
+// survive a crash, and reports a directory it cannot open or sync. Some platforms and
 // filesystems cannot fsync a directory at all and answer EINVAL or ENOTSUP;
 // that counts as success, since there is no stronger guarantee to get and
 // the rename itself is still atomic.
-func syncDir(dir string) error {
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -120,5 +120,5 @@ func atomicWriteFile(path string, blob []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(filepath.Dir(path))
+	return SyncDir(filepath.Dir(path))
 }

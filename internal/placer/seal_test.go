@@ -77,10 +77,10 @@ func TestSealedFileMissingIsNotExist(t *testing.T) {
 // is an error, so a write is never reported durable without it.
 func TestSyncDirReportsMissingDirectory(t *testing.T) {
 	dir := t.TempDir()
-	if err := syncDir(dir); err != nil {
+	if err := SyncDir(dir); err != nil {
 		t.Fatalf("existing directory: %v", err)
 	}
-	if err := syncDir(filepath.Join(dir, "missing")); !errors.Is(err, os.ErrNotExist) {
+	if err := SyncDir(filepath.Join(dir, "missing")); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("missing directory: error %v, want one matching os.ErrNotExist", err)
 	}
 }

@@ -142,8 +142,8 @@ func (p *pair) perturb(rng *rand.Rand) {
 	case 1: // swap in both sequences
 		p.swapIn(p.gPlus, p.posPlus, i, j)
 		p.swapIn(p.gMinus, p.posMinus, i, j)
-	default: // rotate a block
-		p.rot[rng.Intn(n)] = !p.rot[rng.Intn(n)]
+	default: // rotate block i
+		p.rot[i] = !p.rot[i]
 	}
 }
 

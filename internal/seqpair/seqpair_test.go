@@ -3,6 +3,7 @@ package seqpair
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,6 +47,40 @@ func TestRelationsPartitionPairs(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPerturbRotateFlipsOneBlock: a move either swaps blocks in the
+// sequences and leaves every rotation alone, or keeps the sequences and
+// flips the rotation of exactly one block.
+func TestPerturbRotateFlipsOneBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const n = 6
+	w, h := make([]float64, n), make([]float64, n)
+	for i := range w {
+		w[i], h[i] = float64(1+i), float64(2+i)
+	}
+	p, prev := newPair(n, w, h), newPair(n, w, h)
+	rotations := 0
+	for k := 0; k < 300; k++ {
+		prev.copyFrom(p)
+		p.perturb(rng)
+		flipped := 0
+		for b := range p.rot {
+			if p.rot[b] != prev.rot[b] {
+				flipped++
+			}
+		}
+		swapped := !slices.Equal(p.gPlus, prev.gPlus) || !slices.Equal(p.gMinus, prev.gMinus)
+		if swapped && flipped != 0 || !swapped && flipped != 1 {
+			t.Fatalf("move %d: sequences swapped %v, %d rotations flipped", k, swapped, flipped)
+		}
+		if !swapped {
+			rotations++
+		}
+	}
+	if rotations == 0 {
+		t.Fatal("no rotate move in 300 perturbations")
 	}
 }
 

@@ -128,18 +128,11 @@ func acquireLease(dir, jobID, workerID string, epoch int64, ttl time.Duration, n
 		os.Remove(leasePath(dir, jobID))
 		return nil, err
 	}
-	syncLeaseDir(dir)
-	return l, nil
-}
-
-// syncLeaseDir fsyncs the lease directory so creates and removes survive a
-// crash; filesystems that cannot fsync directories keep the rename/create
-// atomicity anyway.
-func syncLeaseDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	if err := placer.SyncDir(dir); err != nil {
+		os.Remove(leasePath(dir, jobID))
+		return nil, err
 	}
+	return l, nil
 }
 
 // renewLease advances the heartbeat deadline of a lease the caller believes
@@ -186,8 +179,7 @@ func releaseLease(dir string, l *lease) error {
 	if err := os.Remove(leasePath(dir, l.JobID)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
-	syncLeaseDir(dir)
-	return nil
+	return placer.SyncDir(dir)
 }
 
 // removeExpiredLease deletes a lease file the caller has observed to be
@@ -196,10 +188,13 @@ func releaseLease(dir string, l *lease) error {
 // follows is serialized by O_EXCL. The documented race (the dying worker
 // renews in the microseconds between the observation and the unlink) is
 // closed by fencing: the reclaim bumps the epoch in the job record, so the
-// revenant's checkpoint and record writes are rejected.
-func removeExpiredLease(dir, jobID string) {
-	os.Remove(leasePath(dir, jobID))
-	syncLeaseDir(dir)
+// revenant's checkpoint and record writes are rejected. A removal that
+// cannot be made durable is an error.
+func removeExpiredLease(dir, jobID string) error {
+	if err := os.Remove(leasePath(dir, jobID)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	return placer.SyncDir(dir)
 }
 
 // leaseGuard is a worker's handle on the lease protecting its running job:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -77,7 +78,9 @@ func TestLeaseFencingRejectsStaleWriter(t *testing.T) {
 	guard := newLeaseGuard(dir, stale)
 
 	// The scavenger's takeover: clear the expired file, re-acquire at epoch 2.
-	removeExpiredLease(dir, "job-1")
+	if err := removeExpiredLease(dir, "job-1"); err != nil {
+		t.Fatalf("remove expired lease: %v", err)
+	}
 	if _, err := acquireLease(dir, "job-1", "w-live", 2, time.Minute, time.Now()); err != nil {
 		t.Fatalf("reclaim acquire: %v", err)
 	}
@@ -100,6 +103,16 @@ func TestLeaseFencingRejectsStaleWriter(t *testing.T) {
 	}
 	if cur.WorkerID != "w-live" || cur.Epoch != 2 {
 		t.Fatalf("lease holder %s epoch %d, want w-live epoch 2", cur.WorkerID, cur.Epoch)
+	}
+}
+
+// TestLeaseDirSyncMissingDirectory: a lease removal in a directory that is
+// gone cannot be made durable, so it is an error rather than a lease
+// reported cleared.
+func TestLeaseDirSyncMissingDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "leases")
+	if err := removeExpiredLease(dir, "job-1"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("removeExpiredLease in a missing directory: err %v, want fs.ErrNotExist", err)
 	}
 }
 

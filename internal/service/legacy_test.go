@@ -14,7 +14,7 @@ import (
 // older build — its spec carries the removed "precond" field, naming a
 // deleted preconditioner, and its metrics carry the removed evaluation cache
 // counters — still loads at boot and runs to done. The stale fields
-// are ignored, so the job follows the grid-selected solver path and matches
+// are ignored, so the job follows the default solver path and matches
 // a fresh submission of the same spec bit for bit.
 func TestLegacyRecordRunsUnderGridSelectedPrecond(t *testing.T) {
 	spec := testSpec(5)

@@ -318,19 +318,33 @@ func (q *queue) cancelMarkerPath(id string) string {
 	return filepath.Join(q.dir, id+".cancel")
 }
 
-// markCancel durably records a cancellation request. Idempotent.
+// markCancel durably records a cancellation request: the marker file and
+// its directory entry are fsynced before it returns. Idempotent. A marker
+// it cannot make durable is removed again and reported, so a retried
+// request writes it anew instead of finding a marker the disk may lose.
 func (q *queue) markCancel(id string) error {
-	f, err := os.OpenFile(q.cancelMarkerPath(id), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	path := q.cancelMarkerPath(id)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		if errors.Is(err, fs.ErrExist) {
 			return nil
 		}
 		return err
 	}
-	fmt.Fprintln(f, time.Now().UTC().Format(time.RFC3339Nano))
-	f.Sync()
-	f.Close()
-	return nil
+	_, err = fmt.Fprintln(f, time.Now().UTC().Format(time.RFC3339Nano))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = placer.SyncDir(q.dir)
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
 }
 
 // cancelRequested reports whether a durable cancellation marker exists.

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -256,6 +257,32 @@ func TestQueueDrainStopsIntake(t *testing.T) {
 	q.StartDrain()
 	if _, _, err := q.Submit(testSpec(1), time.Now()); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit while draining: err=%v, want ErrDraining", err)
+	}
+}
+
+// TestMarkCancelMissingDirectory: a cancel marker that cannot be written
+// and synced is an error, and no marker is left behind to answer a retry as
+// if it were durable.
+func TestMarkCancelMissingDirectory(t *testing.T) {
+	dir := t.TempDir()
+	q, err := newQueue(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.markCancel("job-1"); err != nil {
+		t.Fatalf("markCancel: %v", err)
+	}
+	if !q.cancelRequested("job-1") {
+		t.Fatal("marker not written")
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.markCancel("job-2"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("markCancel in a missing directory: err %v, want fs.ErrNotExist", err)
+	}
+	if q.cancelRequested("job-2") {
+		t.Error("failed markCancel left a marker")
 	}
 }
 

@@ -73,7 +73,11 @@ func (sc *scavenger) sweep(now time.Time) int {
 			continue
 		case err == nil || errors.Is(err, placer.ErrCheckpointCorrupt):
 			// Expired (or torn) lease. Clear it; for running jobs, reclaim.
-			removeExpiredLease(sc.leaseDir, j.ID)
+			// A removal that did not reach the disk is retried next sweep.
+			if err := removeExpiredLease(sc.leaseDir, j.ID); err != nil {
+				sc.log.Warn("expired lease removal failed", "job_id", j.ID, "error", err)
+				continue
+			}
 			if j.State == StateRunning && sc.reclaim(j, now) {
 				reclaimed++
 			}

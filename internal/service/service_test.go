@@ -197,7 +197,7 @@ func TestSubmitErrors(t *testing.T) {
 		{`{not json`, http.StatusBadRequest, "bad_json"},
 		{`{"steps": 10}`, http.StatusBadRequest, "bad_spec"},
 		{`{"system":"multigpu","bogus_field":1}`, http.StatusBadRequest, "bad_json"},
-		// The preconditioner is grid-selected; the removed field is as
+		// The preconditioner is not a job option; the removed field is as
 		// unknown as any other.
 		{`{"system":"multigpu","precond":"ssor"}`, http.StatusBadRequest, "bad_json"},
 		{`{"system":"multigpu","precond":"mg"}`, http.StatusBadRequest, "bad_json"},

@@ -53,16 +53,18 @@ import (
 //     of every pass of the cycle run on two goroutines. The forward and
 //     backward two-block sweeps are still each other's A-adjoints. Below
 //     grid 128 block 1 is empty and the sweeps are the lexicographic ones;
-//   - a dense Cholesky solve at the coarsest level, falling back to a fixed
-//     number of symmetric Gauss-Seidel sweeps when coarsening stalls early
-//     (odd dimensions) and the coarsest system is too large to factor.
+//   - coarsening while either in-plane size is at least 8, odd sizes to
+//     ⌈n/2⌉ (the last coarse cell of an odd axis has one fine child fewer),
+//     so every hierarchy ends at a plane of at most 7×7 columns, and a
+//     Cholesky solve there, factored within the level's envelope
+//     (envCholesky).
 //
 // Storage order: every smoothed level is numbered line-major, row c·layers+p
 // for layer p of in-plane column c, so a line solve reads one contiguous run
 // of rows, CSR entries, factors and vector entries rather than `layers` rows
 // nx·ny apart. Apply permutes r in from, and z out to, the bound matrix's
 // layer-major numbering once per cycle. The coarsest level keeps the
-// layer-major numbering its dense factorization or GS fallback runs in.
+// layer-major numbering its Cholesky factor is formed in.
 // Each row's entries are in ascending column order, so a smoothed-level row
 // reads [earlier columns | own column | later columns] (rowSplit) and each
 // pass of the cycle reads only the part it needs (forwardSweep, sweepDefect,
@@ -87,17 +89,6 @@ type GridGeometry struct {
 
 // Nodes returns the node count of the grid.
 func (g GridGeometry) Nodes() int { return g.Layers * g.Nx * g.Ny }
-
-// coarsestMaxDense is the largest coarsest-level size that is factored
-// densely; larger coarsest systems — which only arise when odd grid
-// dimensions stop the coarsening early — are solved approximately by
-// coarsestGSSweeps symmetric Gauss-Seidel sweeps instead. A fixed sweep count
-// from a zero guess is a fixed symmetric linear operator, so the fallback
-// preserves the SPD property PCG needs.
-const (
-	coarsestMaxDense = 1024
-	coarsestGSSweeps = 4
-)
 
 // mgLevel is the immutable, shareable symbolic description of one hierarchy
 // level: its dimensions and row numbering, its operator sparsity pattern,
@@ -157,6 +148,12 @@ type mgLevel struct {
 	xCh, yCh     children1D
 	bShift       uint
 	bMax, maxRow int
+
+	// Envelope of the Cholesky factor L (coarsest level only): row i of L
+	// holds columns envFirst[i] … i at envPtr[i]:envPtr[i+1] of the factor,
+	// envFirst[i] being the row's first column in the operator pattern, and
+	// envLast[j] is the last row whose envelope reaches column j.
+	envFirst, envPtr, envLast []int32
 }
 
 // parents2 is one fine position's ≤2 coarse parents along one axis, as row
@@ -263,12 +260,10 @@ func fnvWords(h uint64, words []int32) uint64 {
 	return h
 }
 
-// canCoarsen reports whether an nx×ny plane supports another 2× coarsening:
-// both dimensions even, and large enough that a coarser level still has
-// meaningful in-plane structure.
-func canCoarsen(nx, ny int) bool {
-	return nx >= 8 && ny >= 8 && nx%2 == 0 && ny%2 == 0
-}
+// canCoarsen reports whether an nx×ny plane is coarsened once more, to
+// ⌈nx/2⌉×⌈ny/2⌉: while either size is at least 8, so the coarsest plane has
+// at most 7×7 columns.
+func canCoarsen(nx, ny int) bool { return max(nx, ny) >= 8 }
 
 // interp1D returns the cell-centered linear interpolation of fine index f
 // from a coarse axis of nc cells: the primary parent c0 = f/2 and, when it
@@ -733,10 +728,31 @@ func buildMGStructure(a *CSR, geo GridGeometry) *mgStructure {
 		}
 		s.levels = append(s.levels, lev)
 		if !lev.line {
+			lev.envelope()
 			return s
 		}
 		fine = lev
-		nx, ny = nx/2, ny/2
+		nx, ny = (nx+1)/2, (ny+1)/2
+	}
+}
+
+// envelope sets the envelope of the coarsest level's Cholesky factor from
+// its (symmetric) operator pattern. Cholesky fills in only within it: an
+// entry of L left of its row's first pattern column is exactly zero.
+func (lev *mgLevel) envelope() {
+	lev.envFirst = make([]int32, lev.n)
+	lev.envPtr = make([]int32, lev.n+1)
+	lev.envLast = make([]int32, lev.n)
+	for i := range lev.n {
+		f := int32(i)
+		if lo := lev.rowPtr[i]; lo < lev.rowPtr[i+1] {
+			f = min(f, lev.col[lo])
+		}
+		lev.envFirst[i] = f
+		lev.envPtr[i+1] = lev.envPtr[i] + int32(i) - f + 1
+		for j := f; j <= int32(i); j++ {
+			lev.envLast[j] = int32(i)
+		}
 	}
 }
 
@@ -744,12 +760,10 @@ func buildMGStructure(a *CSR, geo GridGeometry) *mgStructure {
 // numbering: the operator (level 0 snapshots the bound fine matrix's values
 // at Refresh; coarser levels own Galerkin values), the line smoother's
 // per-column tridiagonal LDLᵀ factors (lfac holds the unit-lower multiplier
-// of each row toward the layer below, dinv the inverse pivots), the inverse
-// point diagonal for the coarsest-level GS fallback (coarsest level only),
-// and the rows the current Refresh recomputes.
+// of each row toward the layer below, dinv the inverse pivots), and the rows
+// the current Refresh recomputes.
 type mgLevelData struct {
 	a          *CSR
-	invD       []float64
 	lfac, dinv []float64
 	dirty      []bool
 }
@@ -808,16 +822,15 @@ func forRuns(w, n int, fn func(k, lo, hi int)) {
 //
 // Apply is safe for concurrent use: a V-cycle only reads the numeric
 // hierarchy and writes scratch it takes from a per-instance free list, so
-// SolveCGBatch runs its columns' cycles on parallel workers. Refresh must not
-// run concurrently with Apply or with itself. The symbolic skeleton is
-// shared process-wide across instances with the same geometry and sparsity
-// pattern.
+// several solves may share one hierarchy. Refresh must not run concurrently
+// with Apply or with itself. The symbolic skeleton is shared process-wide
+// across instances with the same geometry and sparsity pattern.
 type Multigrid struct {
 	s *mgStructure
 	a *CSR
 
 	lv   []mgLevelData
-	chol []float64 // dense Cholesky factor of the coarsest level, nil → GS fallback
+	chol []float64 // Cholesky factor of the coarsest level, within its envelope
 	rows []int32   // one level's marked rows, Refresh scratch
 
 	mu   sync.Mutex
@@ -851,7 +864,6 @@ func NewMultigrid(a *CSR, geo GridGeometry) (*Multigrid, error) {
 		lv:       make([]mgLevelData, len(s.levels)),
 		needFull: true,
 	}
-	last := len(s.levels) - 1
 	for l, lev := range s.levels {
 		// Level 0 snapshots the bound matrix's values rather than aliasing
 		// them: Refresh copies them in, so in-place updates to the bound
@@ -861,13 +873,12 @@ func NewMultigrid(a *CSR, geo GridGeometry) (*Multigrid, error) {
 		// also what Refresh diffs against to find the rows that changed.
 		d := &mg.lv[l]
 		d.a = &CSR{N: lev.n, RowPtr: lev.rowPtr, Col: lev.col, Val: make([]float64, len(lev.col))}
-		if l == last {
-			d.invD = make([]float64, lev.n)
-		}
 		d.lfac = make([]float64, lev.n)
 		d.dinv = make([]float64, lev.n)
 		d.dirty = make([]bool, lev.n)
 	}
+	last := s.levels[len(s.levels)-1]
+	mg.chol = make([]float64, last.envPtr[last.n])
 	if err := mg.Refresh(); err != nil {
 		return nil, err
 	}
@@ -885,10 +896,11 @@ func (mg *Multigrid) Cycles() int64 { return mg.cycles.Load() }
 // constructor's).
 func (mg *Multigrid) Setups() int64 { return mg.setups }
 
-// Operator returns level l's operator, on an (Nx>>l)×(Ny>>l) plane, as of
-// the last Refresh. Its rows are line-major (row c·Layers + p for layer p of
-// in-plane column c) on every level but the coarsest, which is layer-major.
-// The matrix is the hierarchy's own and must not be modified.
+// Operator returns level l's operator as of the last Refresh; its plane
+// halves Nx and Ny once per level, odd sizes to ⌈n/2⌉. Its rows are
+// line-major (row c·Layers + p for layer p of in-plane column c) on every
+// level but the coarsest, which is layer-major. The matrix is the
+// hierarchy's own and must not be modified.
 func (mg *Multigrid) Operator(l int) *CSR { return mg.lv[l].a }
 
 // Refresh brings the numeric hierarchy up to date with the bound matrix's
@@ -922,13 +934,11 @@ func (mg *Multigrid) Refresh() error {
 			return err
 		}
 	}
-	last := &mg.lv[len(mg.lv)-1]
-	if last.a.N <= coarsestMaxDense && slices.Contains(last.dirty, true) {
-		chol, err := denseCholesky(last.a, mg.chol)
-		if err != nil {
+	last := len(mg.lv) - 1
+	if slices.Contains(mg.lv[last].dirty, true) {
+		if err := envCholesky(mg.lv[last].a, mg.s.levels[last], mg.chol); err != nil {
 			return fmt.Errorf("sparse: multigrid coarsest level: %w", err)
 		}
-		mg.chol = chol
 	}
 	mg.needFull = false
 	mg.setups++
@@ -983,9 +993,8 @@ func (mg *Multigrid) markParents(l int) {
 	}
 }
 
-// refreshSmoother checks the diagonals of level l's marked rows, updates
-// their inverses (coarsest level only), and refactors the line-smoother
-// blocks of every column holding a marked row.
+// refreshSmoother checks the diagonals of level l's marked rows and
+// refactors the line-smoother blocks of every column holding a marked row.
 func (mg *Multigrid) refreshSmoother(l int) error {
 	lev, d := mg.s.levels[l], &mg.lv[l]
 	for i, slot := range lev.diagSlot {
@@ -999,9 +1008,6 @@ func (mg *Multigrid) refreshSmoother(l int) error {
 		if v <= 0 {
 			p, c := lev.pos(i)
 			return fmt.Errorf("sparse: multigrid level %d has non-positive diagonal %g at layer %d column %d; matrix not SPD", l, v, p, c)
-		}
-		if d.invD != nil {
-			d.invD[i] = 1 / v
 		}
 	}
 	// Factor each vertical column's tridiagonal block (diagonal plus the
@@ -1281,13 +1287,9 @@ func (mg *Multigrid) putCycle(c *mgCycle) {
 // and each other's A-adjoints. The transfers read across the cut, so every
 // pass waits for the previous one on both blocks.
 func (mg *Multigrid) vcycle(c *mgCycle, l int) {
-	d, z, r := &mg.lv[l], c.z[l], c.r[l]
+	z, r := c.z[l], c.r[l]
 	if l == len(mg.lv)-1 {
-		if mg.chol != nil {
-			cholSolve(mg.chol, d.a.N, z, r)
-		} else {
-			mg.coarseGS(d, z, r)
-		}
+		envSolve(mg.chol, mg.s.levels[l], z, r)
 		return
 	}
 	lev, coarse, t := mg.s.levels[l], mg.s.levels[l+1], c.t[l]
@@ -1466,89 +1468,63 @@ func (d *mgLevelData) solveLine(base int, t []float64) {
 	}
 }
 
-// coarseGS approximates the coarsest solve with a fixed number of symmetric
-// Gauss-Seidel sweeps from a zero guess — a fixed symmetric linear operator,
-// so the overall cycle stays a valid SPD preconditioner even when the
-// coarsest system was too large to factor densely.
-func (mg *Multigrid) coarseGS(d *mgLevelData, z, r []float64) {
-	a, invD := d.a, d.invD
-	n := a.N
-	for i := range z {
-		z[i] = 0
-	}
-	for s := 0; s < coarsestGSSweeps; s++ {
-		for i := 0; i < n; i++ {
-			acc := r[i]
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				if j := int(a.Col[k]); j != i {
-					acc -= a.Val[k] * z[j]
-				}
-			}
-			z[i] = acc * invD[i]
-		}
-		for i := n - 1; i >= 0; i-- {
-			acc := r[i]
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				if j := int(a.Col[k]); j != i {
-					acc -= a.Val[k] * z[j]
-				}
-			}
-			z[i] = acc * invD[i]
-		}
-	}
-}
-
-// denseCholesky factors the (small) coarsest operator into a dense lower
-// triangle L with A = L·Lᵀ, reusing buf's storage when it is large enough.
-func denseCholesky(a *CSR, buf []float64) ([]float64, error) {
-	n := a.N
-	L := buf
-	if cap(L) < n*n {
-		L = make([]float64, n*n)
-	} else {
-		L = L[:n*n]
-		clear(L)
-	}
-	for i := 0; i < n; i++ {
+// envCholesky factors the coarsest operator a into L with A = L·Lᵀ, row by
+// row within lev's envelope, into L (envPtr[n] long). Every entry is the
+// same fixed-order sum a dense factorization forms; the terms it leaves out
+// multiply an entry left of a row's envelope, which is exactly zero, so the
+// factor is bit for bit the dense one's lower triangle.
+func envCholesky(a *CSR, lev *mgLevel, L []float64) error {
+	first, ptr := lev.envFirst, lev.envPtr
+	clear(L)
+	for i := range a.N {
+		fi := first[i]
+		row := L[ptr[i]:ptr[i+1]] // columns fi … i
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			L[i*n+int(a.Col[k])] = a.Val[k]
+			if j := a.Col[k]; j <= int32(i) {
+				row[j-fi] = a.Val[k]
+			}
 		}
-	}
-	for j := 0; j < n; j++ {
-		d := L[j*n+j]
-		for k := 0; k < j; k++ {
-			d -= L[j*n+k] * L[j*n+k]
+		for j := fi; j < int32(i); j++ {
+			fj := first[j]
+			rj := L[ptr[j]:ptr[j+1]] // columns fj … j
+			s := row[j-fi]
+			for k := max(fi, fj); k < j; k++ {
+				s -= row[k-fi] * rj[k-fj]
+			}
+			row[j-fi] = s / rj[j-fj]
+		}
+		d := row[len(row)-1]
+		for _, v := range row[:len(row)-1] {
+			d -= v * v
 		}
 		if d <= 0 {
-			return nil, fmt.Errorf("sparse: Cholesky pivot %g <= 0 at row %d; matrix not SPD", d, j)
+			return fmt.Errorf("sparse: Cholesky pivot %g <= 0 at row %d; matrix not SPD", d, i)
 		}
-		dj := math.Sqrt(d)
-		L[j*n+j] = dj
-		for i := j + 1; i < n; i++ {
-			s := L[i*n+j]
-			for k := 0; k < j; k++ {
-				s -= L[i*n+k] * L[j*n+k]
-			}
-			L[i*n+j] = s / dj
-		}
+		row[len(row)-1] = math.Sqrt(d)
 	}
-	return L, nil
+	return nil
 }
 
-// cholSolve solves L·Lᵀ·z = r by forward and backward substitution.
-func cholSolve(L []float64, n int, z, r []float64) {
-	for i := 0; i < n; i++ {
-		s := r[i]
-		for k := 0; k < i; k++ {
-			s -= L[i*n+k] * z[k]
+// envSolve solves L·Lᵀ·z = r by forward and backward substitution with the
+// envelope factor from envCholesky, summing the terms in a dense solve's
+// order.
+func envSolve(L []float64, lev *mgLevel, z, r []float64) {
+	first, ptr := lev.envFirst, lev.envPtr
+	for i := range z {
+		row := L[ptr[i]:ptr[i+1]]
+		s, zs := r[i], z[first[i]:i]
+		for k, v := range row[:len(zs)] {
+			s -= v * zs[k]
 		}
-		z[i] = s / L[i*n+i]
+		z[i] = s / row[len(zs)]
 	}
-	for i := n - 1; i >= 0; i-- {
+	for i := len(z) - 1; i >= 0; i-- {
 		s := z[i]
-		for k := i + 1; k < n; k++ {
-			s -= L[k*n+i] * z[k]
+		for k := int32(i) + 1; k <= lev.envLast[i]; k++ {
+			if fk := first[k]; fk <= int32(i) {
+				s -= L[ptr[k]+int32(i)-fk] * z[k]
+			}
 		}
-		z[i] = s / L[i*n+i]
+		z[i] = s / L[ptr[i+1]-1]
 	}
 }

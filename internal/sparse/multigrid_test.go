@@ -93,14 +93,13 @@ func TestMultigridGalerkinConsistency(t *testing.T) {
 // rz > 0 guard) breaks down.
 func TestMultigridApplySPD(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		grid int
-		gs   bool
+		name   string
+		grid   int
+		levels int
 	}{
-		{"cholesky-coarsest", 16, false},
-		// A 17×17 plane cannot coarsen, and its 17·17·4 = 1156 nodes exceed
-		// coarsestMaxDense, so the coarsest solve falls back to GS sweeps.
-		{"gs-fallback-coarsest", 17, true},
+		{"cholesky-coarsest", 16, 3},
+		// 17 → 9 → 5: odd planes coarsen to ⌈n/2⌉, short last cells included.
+		{"odd-coarsening", 17, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := grid3D(tc.grid, 4)
@@ -108,8 +107,8 @@ func TestMultigridApplySPD(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gs := mg.chol == nil; gs != tc.gs {
-				t.Fatalf("GS coarsest fallback = %v, want %v", gs, tc.gs)
+			if got := mg.Levels(); got != tc.levels {
+				t.Fatalf("Levels() = %d, want %d", got, tc.levels)
 			}
 			rng := rand.New(rand.NewSource(7))
 			u := make([]float64, a.N)
@@ -332,10 +331,14 @@ func TestMultigridStructureShared(t *testing.T) {
 	}
 }
 
+// TestDenseCholeskySolve: the coarsest-level Cholesky factor and solve,
+// formed within the operator's envelope, recover x from A·x.
 func TestDenseCholeskySolve(t *testing.T) {
 	a := grid3D(8, 1) // small SPD system, factored entirely
-	L, err := denseCholesky(a, nil)
-	if err != nil {
+	lev := &mgLevel{n: a.N, rowPtr: a.RowPtr, col: a.Col}
+	lev.envelope()
+	L := make([]float64, lev.envPtr[a.N])
+	if err := envCholesky(a, lev, L); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
@@ -346,11 +349,143 @@ func TestDenseCholeskySolve(t *testing.T) {
 	rhs := make([]float64, a.N)
 	a.MulVec(rhs, want)
 	got := make([]float64, a.N)
-	cholSolve(L, a.N, got, rhs)
+	envSolve(L, lev, got, rhs)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-8*(1+math.Abs(want[i])) {
 			t.Fatalf("x[%d] = %g, want %g", i, got[i], want[i])
 		}
+	}
+}
+
+// denseCholesky is a test-local copy of the coarsest-level factorization as
+// it ran before the envelope: a dense lower triangle L with A = L·Lᵀ, every
+// entry summing all of its k < j terms.
+func denseCholesky(a *CSR) ([]float64, error) {
+	n := a.N
+	L := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			L[i*n+int(a.Col[k])] = a.Val[k]
+		}
+	}
+	for j := 0; j < n; j++ {
+		d := L[j*n+j]
+		for k := 0; k < j; k++ {
+			d -= L[j*n+k] * L[j*n+k]
+		}
+		if d <= 0 {
+			return nil, fmt.Errorf("sparse: Cholesky pivot %g <= 0 at row %d; matrix not SPD", d, j)
+		}
+		dj := math.Sqrt(d)
+		L[j*n+j] = dj
+		for i := j + 1; i < n; i++ {
+			s := L[i*n+j]
+			for k := 0; k < j; k++ {
+				s -= L[i*n+k] * L[j*n+k]
+			}
+			L[i*n+j] = s / dj
+		}
+	}
+	return L, nil
+}
+
+// cholSolve is the dense forward and backward substitution that went with
+// denseCholesky.
+func cholSolve(L []float64, n int, z, r []float64) {
+	for i := 0; i < n; i++ {
+		s := r[i]
+		for k := 0; k < i; k++ {
+			s -= L[i*n+k] * z[k]
+		}
+		z[i] = s / L[i*n+i]
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := z[i]
+		for k := i + 1; k < n; k++ {
+			s -= L[k*n+i] * z[k]
+		}
+		z[i] = s / L[i*n+i]
+	}
+}
+
+// bandedSPD returns a random symmetric, strictly diagonally dominant matrix
+// whose rows reach back a random 0–12 columns, so its envelope is ragged.
+func bandedSPD(n int, rng *rand.Rand) *CSR {
+	b := NewBuilder(n)
+	for i := 0; i < n; i++ {
+		for j := max(0, i-rng.Intn(13)); j < i; j++ {
+			if j == i-1 || rng.Intn(3) == 0 {
+				b.AddSym(i, j, 0.1+rng.Float64())
+			}
+		}
+		b.AddDiag(i, 0.01+rng.Float64())
+	}
+	return b.Build()
+}
+
+// TestEnvelopeCholeskyMatchesDense: the envelope factorization leaves out
+// only products with an exact zero, so its factor must equal the dense
+// factor's lower triangle bit for bit (zero outside the envelope), and its
+// solve the dense solve, on the coarsest operators of the grid-16, 24, 64
+// and 128 hierarchies of two stacks (one with layer-skipping couplings) and
+// on a random banded SPD matrix.
+func TestEnvelopeCholeskyMatchesDense(t *testing.T) {
+	type tc struct {
+		name string
+		a    *CSR
+		lev  *mgLevel
+	}
+	var cases []tc
+	for _, g := range []int{16, 24, 64, 128} {
+		for name, a := range map[string]*CSR{"grid3D": grid3D(g, 4), "skip": skipStack(g, 4)} {
+			mg, err := NewMultigrid(a, stackGeo(g, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := len(mg.lv) - 1
+			cases = append(cases, tc{fmt.Sprintf("%s/grid%d", name, g), mg.lv[last].a, mg.s.levels[last]})
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	banded := bandedSPD(300, rng)
+	lev := &mgLevel{n: banded.N, rowPtr: banded.RowPtr, col: banded.Col}
+	lev.envelope()
+	cases = append(cases, tc{"banded", banded, lev})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n := c.a.N
+			dense, err := denseCholesky(c.a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			L := make([]float64, c.lev.envPtr[n])
+			if err := envCholesky(c.a, c.lev, L); err != nil {
+				t.Fatal(err)
+			}
+			if c.lev.envPtr[n] >= int32(n*(n+1)/2) {
+				t.Errorf("envelope holds %d entries, the dense triangle %d", c.lev.envPtr[n], n*(n+1)/2)
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j <= i; j++ {
+					got := 0.0
+					if f := int(c.lev.envFirst[i]); j >= f {
+						got = L[int(c.lev.envPtr[i])+j-f]
+					}
+					if math.Float64bits(got) != math.Float64bits(dense[i*n+j]) {
+						t.Fatalf("L[%d,%d] = %v, dense %v", i, j, got, dense[i*n+j])
+					}
+				}
+			}
+			r, got, want := make([]float64, n), make([]float64, n), make([]float64, n)
+			for trial := 0; trial < 3; trial++ {
+				for i := range r {
+					r[i] = rng.NormFloat64()
+				}
+				envSolve(L, c.lev, got, r)
+				cholSolve(dense, n, want, r)
+				sameBits(t, "solve", got, want)
+			}
+		})
 	}
 }
 
@@ -405,8 +540,8 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 }
 
 // sameHierarchy fails unless mg and want hold the same numeric hierarchy bit
-// for bit: every level's operator values, line factors and inverse
-// diagonals, and the coarsest Cholesky factor.
+// for bit: every level's operator values and line factors, and the coarsest
+// Cholesky factor.
 func sameHierarchy(t *testing.T, mg, want *Multigrid) {
 	t.Helper()
 	for l := range want.lv {
@@ -414,7 +549,6 @@ func sameHierarchy(t *testing.T, mg, want *Multigrid) {
 		sameBits(t, fmt.Sprintf("level %d values", l), got.a.Val, want.a.Val)
 		sameBits(t, fmt.Sprintf("level %d lfac", l), got.lfac, want.lfac)
 		sameBits(t, fmt.Sprintf("level %d dinv", l), got.dinv, want.dinv)
-		sameBits(t, fmt.Sprintf("level %d invD", l), got.invD, want.invD)
 	}
 	sameBits(t, "coarsest Cholesky", mg.chol, want.chol)
 }
@@ -439,7 +573,7 @@ func matchesFresh(t *testing.T, mg *Multigrid, r []float64) {
 // changes recomputes only the rows those changes reach, and must leave every
 // level's operator, smoother factors, coarsest factorization and V-cycle
 // bit-identical to a from-scratch hierarchy — including a no-op Refresh that
-// recomputes nothing. Grid 17 exercises the uncoarsenable GS-fallback level.
+// recomputes nothing. Grid 17 exercises odd coarsening (17 → 9 → 5).
 func TestMultigridIncrementalRefreshBitIdentical(t *testing.T) {
 	const layers = 4
 	for _, g := range []int{16, 17, 64} {
@@ -689,11 +823,7 @@ func unsplitApply(mg *Multigrid, z, r []float64) {
 	cycle = func(l int) {
 		d, z, r := &mg.lv[l], zs[l], rs[l]
 		if l == len(mg.lv)-1 {
-			if mg.chol != nil {
-				cholSolve(mg.chol, d.a.N, z, r)
-			} else {
-				mg.coarseGS(d, z, r)
-			}
+			envSolve(mg.chol, mg.s.levels[l], z, r)
 			return
 		}
 		clear(z)

@@ -234,9 +234,7 @@ var ErrNoConvergence = errors.New("sparse: solver did not converge")
 // operator must be linear, symmetric positive definite, and fixed for the
 // duration of one solve (it may change freely between solves — the
 // convergence test uses the true residual, so a stale-but-SPD preconditioner
-// affects only the iteration count, never the answer). Apply must be safe
-// for concurrent use: SolveCGBatch preconditions its columns on parallel
-// workers through one shared Preconditioner.
+// affects only the iteration count, never the answer).
 type Preconditioner interface {
 	Apply(z, r []float64)
 }
@@ -254,7 +252,7 @@ type CGOptions struct {
 	// only cost is one pointer test per iteration.
 	OnIteration func(iter int, residual float64)
 	// Precond, when non-nil, replaces the built-in Jacobi preconditioner in
-	// CGSolver.SolveContext / SolveCG / SolveCGContext and SolveCGBatch.
+	// CGSolver.SolveContext / SolveCG / SolveCGContext.
 	// A nil Precond selects Jacobi (M = diag(A), re-read from the matrix on
 	// every solve). Both run the same CG loop; only the Apply differs.
 	Precond Preconditioner

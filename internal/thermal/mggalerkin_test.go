@@ -13,11 +13,12 @@ import (
 // hierarchy formed it before its two one-dimensional passes: row I of
 // Pᵀ·A·P scattered straight from each of its ≤16 fine children's rows
 // through each entry's ≤4 coarse parents, and its pattern from the same
-// walk, in ascending order. fine is a line-major level of an nxC·2×nyC·2
+// walk, in ascending order. fine is a line-major level of an nxF×nyF
 // plane; the coarse level is line-major when coarseLine is set and
 // layer-major otherwise (the coarsest level).
-func directGalerkin(fine *sparse.CSR, layers, nxC, nyC int, coarseLine bool) (rowPtr, col []int32, val []float64) {
-	pPtr, pCol, pW := refProlongation(nxC, nyC)
+func directGalerkin(fine *sparse.CSR, layers, nxF, nyF int, coarseLine bool) (rowPtr, col []int32, val []float64) {
+	pPtr, pCol, pW := refProlongation(nxF, nyF)
+	nxC, nyC := levelSize(nxF, 1), levelSize(nyF, 1)
 	nC := nxC * nyC
 	ptPtr := make([]int32, nC+1)
 	for _, c := range pCol {
@@ -81,16 +82,17 @@ func directGalerkin(fine *sparse.CSR, layers, nxC, nyC int, coarseLine bool) (ro
 // TestGalerkinMatchesDirectProduct: the hierarchy forms every coarse
 // operator as P_yᵀ·(P_xᵀ·A·P_x)·P_y, which is Pᵀ·A·P because the bilinear
 // prolongation factors exactly, P = P_y ⊗ P_x. On the four precondCases
-// stacks, at every hierarchy shape the pinned hashes cover and at the
-// two-block grid 128, each level's pattern must equal the direct product's
-// exactly, and each value must be within 1e-13 of it relative to its row's
-// largest entry: the two passes only reorder the sums.
+// stacks, at every hierarchy shape the pinned hashes cover, at the
+// two-block grid 128 and through the odd planes of grids 17 and 66, each
+// level's pattern must equal the direct product's exactly, and each value
+// must be within 1e-13 of it relative to its row's largest entry: the two
+// passes only reorder the sums.
 func TestGalerkinMatchesDirectProduct(t *testing.T) {
 	for _, pc := range precondCases() {
-		for _, g := range []int{16, 24, 64, 128} {
+		for _, g := range []int{16, 17, 24, 64, 66, 128} {
 			t.Run(fmt.Sprintf("%s/grid%d", pc.name, g), func(t *testing.T) {
 				if g > 64 && testing.Short() {
-					t.Skip("grid-128 models are slow under -short")
+					t.Skip("grid-66 and grid-128 models are slow under -short")
 				}
 				m, geo := mgModel(t, pc, g)
 				last := m.mg.Levels() - 1
@@ -99,7 +101,7 @@ func TestGalerkinMatchesDirectProduct(t *testing.T) {
 				}
 				for l := 1; l <= last; l++ {
 					got := m.mg.Operator(l)
-					rowPtr, col, val := directGalerkin(m.mg.Operator(l-1), geo.Layers, geo.Nx>>l, geo.Ny>>l, l < last)
+					rowPtr, col, val := directGalerkin(m.mg.Operator(l-1), geo.Layers, levelSize(geo.Nx, l-1), levelSize(geo.Ny, l-1), l < last)
 					if !slices.Equal(got.RowPtr, rowPtr) || !slices.Equal(got.Col, col) {
 						t.Fatalf("level %d: pattern differs from the direct product's", l)
 					}
@@ -115,6 +117,50 @@ func TestGalerkinMatchesDirectProduct(t *testing.T) {
 					}
 					if worst > 1e-13 {
 						t.Errorf("level %d: values deviate from the direct product by %.3g of their row's largest entry", l, worst)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCoarsestSolveMatchesDense: the coarsest level is factored within its
+// envelope, which leaves out only products with an exact zero, so on the
+// real stacks its solve must equal the dense Cholesky solve bit for bit. A
+// hierarchy built over the coarsest operator itself, on its plane of at
+// most 7×7 columns, is that one level, so its Apply is the envelope solve
+// of a factor of the same matrix. Checked on the four precondCases stacks
+// at grids 16, 24, 64 and 128, and at the odd grids 17 and 100.
+func TestCoarsestSolveMatchesDense(t *testing.T) {
+	for _, pc := range precondCases() {
+		for _, g := range []int{16, 17, 24, 64, 100, 128} {
+			t.Run(fmt.Sprintf("%s/grid%d", pc.name, g), func(t *testing.T) {
+				if g > 64 && testing.Short() {
+					t.Skip("grid-100 and grid-128 models are slow under -short")
+				}
+				m, geo := mgModel(t, pc, g)
+				last := m.mg.Levels() - 1
+				a := m.mg.Operator(last)
+				geo.Nx, geo.Ny = levelSize(geo.Nx, last), levelSize(geo.Ny, last)
+				one, err := sparse.NewMultigrid(a, geo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if one.Levels() != 1 {
+					t.Fatalf("coarsest %d×%d plane built %d levels", geo.Nx, geo.Ny, one.Levels())
+				}
+				L := refCholesky(t, a)
+				r, got, want := make([]float64, a.N), make([]float64, a.N), make([]float64, a.N)
+				for trial := 0; trial < 3; trial++ {
+					for i := range r {
+						r[i] = float64((i*7919+trial*104729)%1009)/1009 - 0.5
+					}
+					one.Apply(got, r)
+					refCholSolve(L, want, r)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("trial %d: z[%d] = %v, dense solve %v", trial, i, got[i], want[i])
+						}
 					}
 				}
 			})

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -124,16 +125,16 @@ func TestPrecondAgreement(t *testing.T) {
 	}
 }
 
-// TestPrecondAutoGrid64BitIdentical pins the grid-selected default on each
-// side of autoMGGrid: at grid 48 it is the historical Jacobi path, and at the
-// paper's grid 64 it is the multigrid path — each bit-identical to an
-// explicit override, same iteration count and same bits in every cell.
+// TestPrecondAutoGrid64BitIdentical pins the default preconditioner below
+// and at the paper's grid 64: at grids 48 and 64 it is the multigrid path,
+// bit-identical to an explicit "mg", same iteration count and same bits in
+// every cell.
 func TestPrecondAutoGrid64BitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		grid    int
 		precond string
 	}{
-		{48, precondJacobi},
+		{48, precondMG},
 		{64, precondMG},
 	} {
 		pc := precondCases()[1] // cpudram
@@ -175,6 +176,34 @@ func TestPrecondUnknownRejected(t *testing.T) {
 	for _, pre := range []string{"ilu", "ssor", "auto"} {
 		if _, err := NewModel(45, 45, Options{Grid: 32, Stack: &stack, Precond: pre}); err == nil {
 			t.Errorf("preconditioner %q accepted", pre)
+		}
+	}
+}
+
+// TestMultigridEveryGrid: every grid coarsens down to a plane of at most
+// 7×7 columns, odd planes to ⌈n/2⌉, so the default multigrid path takes
+// at most 10 cold CG iterations on the three paper stacks from grid 15 up,
+// odd grids included, where the point Gauss-Seidel coarsest level it
+// replaced took 19 to 31 at grids 17 and 66. Grid 8, whose two-level
+// 8 → 4 hierarchy is the one it always had, takes 11 to 13, and so does the
+// generated 60 mm scenario at grid 17; both are held to 13. Grid 132 is
+// split into two blocks and passes through the odd planes 33, 17, 9 and 5.
+func TestMultigridEveryGrid(t *testing.T) {
+	for _, g := range []int{8, 15, 17, 33, 66, 100, 132} {
+		for _, pc := range precondCases() {
+			t.Run(fmt.Sprintf("%s/grid%d", pc.name, g), func(t *testing.T) {
+				if g > 100 && testing.Short() {
+					t.Skip("grid-132 models are slow under -short")
+				}
+				want := 10
+				if g == 8 || pc.name == "generated128" && g < 32 {
+					want = 13
+				}
+				pc.grid = g
+				if res := solveWith(t, pc, ""); res.Iterations > want {
+					t.Errorf("cold CG took %d iterations, want at most %d", res.Iterations, want)
+				}
+			})
 		}
 	}
 }

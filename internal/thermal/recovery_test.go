@@ -13,13 +13,13 @@ import (
 
 func recoveryModel(t *testing.T, inj *faultinject.Injector, ctr *metrics.Counters, disable bool) *Model {
 	t.Helper()
-	return recoveryModelGrid(t, 16, inj, ctr, disable)
+	return recoveryModelGrid(t, 16, "", inj, ctr, disable)
 }
 
-func recoveryModelGrid(t *testing.T, grid int, inj *faultinject.Injector, ctr *metrics.Counters, disable bool) *Model {
+func recoveryModelGrid(t *testing.T, grid int, precond string, inj *faultinject.Injector, ctr *metrics.Counters, disable bool) *Model {
 	t.Helper()
 	m, err := NewModel(45, 45, Options{
-		Grid: grid, Inject: inj, Counters: ctr, DisableRecovery: disable,
+		Grid: grid, Precond: precond, Inject: inj, Counters: ctr, DisableRecovery: disable,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,13 +71,14 @@ func TestRecoveryMGFallback(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		grid         int
+		precond      string
 		wantFallback bool
 	}{
-		{"jacobi-g16", 16, true},
-		{"mg-g96", 96, false},
+		{"jacobi-g16", 16, precondJacobi, true},
+		{"mg-g96", 96, "", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := recoveryModelGrid(t, tc.grid, nil, nil, false)
+			ref := recoveryModelGrid(t, tc.grid, tc.precond, nil, nil, false)
 			want, err := ref.Solve([]Source{centeredSource(100)})
 			if err != nil {
 				t.Fatal(err)
@@ -86,7 +87,7 @@ func TestRecoveryMGFallback(t *testing.T) {
 			inj := faultinject.New(1)
 			inj.Arm(faultinject.PointCGSolve, faultinject.Spec{Every: 1, Count: 2})
 			var ctr metrics.Counters
-			m := recoveryModelGrid(t, tc.grid, inj, &ctr, false)
+			m := recoveryModelGrid(t, tc.grid, tc.precond, inj, &ctr, false)
 			got, err := m.Solve([]Source{centeredSource(100)})
 			if err != nil {
 				t.Fatalf("ladder did not rescue the solve: %v", err)
@@ -118,12 +119,13 @@ func TestRecoveryMGFallback(t *testing.T) {
 }
 
 // TestRecoveryRelaxedTolLastResort: three consecutive failures reach the
-// relaxed-tolerance rung and the result is flagged degraded.
+// relaxed-tolerance rung and the result is flagged degraded. Only a Jacobi
+// model climbs through the multigrid rung on the way.
 func TestRecoveryRelaxedTolLastResort(t *testing.T) {
 	inj := faultinject.New(1)
 	inj.Arm(faultinject.PointCGSolve, faultinject.Spec{Every: 1, Count: 3})
 	var ctr metrics.Counters
-	m := recoveryModel(t, inj, &ctr, false)
+	m := recoveryModelGrid(t, 16, precondJacobi, inj, &ctr, false)
 	got, err := m.Solve([]Source{centeredSource(100)})
 	if err != nil {
 		t.Fatalf("relaxed-tolerance rung did not rescue the solve: %v", err)
@@ -152,15 +154,16 @@ func TestRecoveryLadderExhausted(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		grid      int
+		precond   string
 		wantSolve int64
 	}{
-		{"jacobi-g16", 16, 4}, // initial + 3 rungs
-		{"mg-g64", 64, 3},     // initial + cold restart + relaxed tolerance
+		{"jacobi-g16", 16, precondJacobi, 4}, // initial + 3 rungs
+		{"mg-g64", 64, "", 3},                // initial + cold restart + relaxed tolerance
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inj := faultinject.New(1)
 			inj.Arm(faultinject.PointCGSolve, faultinject.Spec{Every: 1})
-			m := recoveryModelGrid(t, tc.grid, inj, nil, false)
+			m := recoveryModelGrid(t, tc.grid, tc.precond, inj, nil, false)
 			_, err := m.Solve([]Source{centeredSource(100)})
 			if err == nil {
 				t.Fatal("persistent fault produced a result")
@@ -261,7 +264,7 @@ func TestAssembleInjection(t *testing.T) {
 // budget's reach.
 func TestMultigridBudgetStopsStalledSolve(t *testing.T) {
 	var ctr metrics.Counters
-	m := recoveryModelGrid(t, 64, nil, &ctr, true)
+	m := recoveryModelGrid(t, 64, "", nil, &ctr, true)
 	a, cg, err := m.prepareAssembled(nil, []Source{centeredSource(100)})
 	if err != nil {
 		t.Fatal(err)

@@ -5,14 +5,29 @@ import (
 	"math"
 	"testing"
 
+	"tap25d/internal/material"
 	"tap25d/internal/metrics"
 )
+
+// cpudramModel returns a model of the cpudram case study at grid under the
+// given Options.Precond, counting into ctr.
+func cpudramModel(t *testing.T, grid int, precond string, ctr *metrics.Counters) *Model {
+	t.Helper()
+	pc := precondCases()[1]
+	stack := material.DefaultStackFor(pc.w, pc.h)
+	m, err := NewModel(pc.w, pc.h, Options{Grid: grid, Stack: &stack, Precond: precond, Counters: ctr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 // TestSolveScaledCornerContract: every corner is exactly its scale times the
 // temperature rise of the nominal solve a fresh model runs (what
 // tap25d.Evaluate runs), so the 1.0 corner is that solve bit for bit and
 // scale 0 is the ambient field; and every corner stays within 1e-5 C of a
-// cold solve at its own power, on the Jacobi grid and the multigrid one.
+// cold solve at its own power on a fresh model, under Jacobi at grid 16
+// and multigrid at grid 64.
 func TestSolveScaledCornerContract(t *testing.T) {
 	scales := []float64{0, 0.7, 1, 1.4}
 	base := precondCases()[1].sources // cpudram
@@ -20,29 +35,25 @@ func TestSolveScaledCornerContract(t *testing.T) {
 		grid    int
 		precond string
 	}{{16, precondJacobi}, {64, precondMG}} {
-		m := batchModel(t, tc.grid, "", nil)
-		if m.precond != tc.precond {
-			t.Fatalf("grid %d selected %s, want %s", tc.grid, m.precond, tc.precond)
-		}
+		m := cpudramModel(t, tc.grid, tc.precond, nil)
 		got, err := m.SolveScaled(context.Background(), base, scales)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := batchModel(t, tc.grid, "", nil)
+		ref := cpudramModel(t, tc.grid, tc.precond, nil)
 		nominal, err := ref.Solve(base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs := make([][]Source, len(scales))
+		cold := make([]*Result, len(scales))
 		for c, s := range scales {
-			specs[c] = append([]Source(nil), base...)
-			for k := range specs[c] {
-				specs[c][k].Power *= s
+			spec := append([]Source(nil), base...)
+			for k := range spec {
+				spec[k].Power *= s
 			}
-		}
-		cold, err := batchModel(t, tc.grid, "", nil).SolveBatch(context.Background(), specs)
-		if err != nil {
-			t.Fatal(err)
+			if cold[c], err = cpudramModel(t, tc.grid, tc.precond, nil).Solve(spec); err != nil {
+				t.Fatal(err)
+			}
 		}
 
 		g, amb := tc.grid, m.AmbientC()
@@ -81,7 +92,7 @@ func TestSolveScaledNoSolve(t *testing.T) {
 	base := precondCases()[1].sources
 	for _, scales := range [][]float64{nil, {1, -0.5}, {math.NaN()}, {math.Inf(1)}} {
 		var ctr metrics.Counters
-		m := batchModel(t, 16, "", &ctr)
+		m := cpudramModel(t, 16, "", &ctr)
 		res, err := m.SolveScaled(context.Background(), base, scales)
 		if (err != nil) != (len(scales) > 0) || res != nil {
 			t.Errorf("scales %v: results %v, error %v", scales, res, err)

@@ -10,9 +10,9 @@
 //
 // Temperatures are solved as rises over the ambient (45 °C by default); the
 // linear system G·T = P is symmetric positive definite and is solved with
-// preconditioned conjugate gradients (Jacobi below grid 64, a geometric
-// multigrid V-cycle from 64 up), warm-started from the previous solve so
-// that consecutive simulated-annealing steps converge quickly.
+// conjugate gradients preconditioned by a geometric multigrid V-cycle,
+// warm-started from the previous solve so that consecutive
+// simulated-annealing steps converge quickly.
 package thermal
 
 import (
@@ -43,17 +43,15 @@ type Options struct {
 	// Stack describes the layers and boundary; zero value means
 	// material.DefaultStack().
 	Stack *material.Stack
-	// Precond overrides the grid-selected CG preconditioner for
-	// steady-state solves. The empty default picks by grid: the Jacobi
-	// diagonal below grid 64 (the historical path, byte for byte), a
-	// geometric multigrid V-cycle from 64 up, where its near-grid-independent
-	// iteration count pays for the hierarchy.
-	// "jacobi" or "mg" forces one path at any grid; it exists for the
-	// solver-scaling bench and the cross-preconditioner agreement tests,
-	// not as a user-facing option.
+	// Precond selects the CG preconditioner of steady-state solves. The
+	// empty default and "mg" are the geometric multigrid V-cycle at every
+	// grid; "jacobi" forces the matrix diagonal, the reference path of the
+	// solver-scaling bench and of the tests that exercise Jacobi-specific
+	// behaviour (the recovery ladder's multigrid rung, cancellation
+	// between CG polls), not a user-facing option.
 	//
-	// The selection applies to Solve/SolveContext/SolveBatch; the transient
-	// and liquid-cooling solvers keep their historical Jacobi path.
+	// The selection applies to Solve/SolveContext/SolveScaled; the transient
+	// and liquid-cooling solvers keep their Jacobi path.
 	Precond string
 	// DisableIncremental forces every Solve through the full
 	// rasterize/assemble/build path. The incremental path produces
@@ -143,11 +141,11 @@ type Model struct {
 	// percent per annealing move), while preconditioning with a stale
 	// hierarchy measurably inflates iteration counts at fine grids
 	// (anneal-scale footprint moves cross more cell boundaries there), so
-	// eager refresh wins; power-only re-solves and scenario batches leave the
-	// values untouched and skip it entirely. A refresh is a deterministic
-	// function of the fine values, so the generation is the only staleness
-	// signal needed: re-coarsening at an unchanged generation would rebuild
-	// the same hierarchy bit for bit.
+	// eager refresh wins; power-only re-solves leave the values untouched
+	// and skip it entirely. A refresh is a deterministic function of the
+	// fine values, so the generation is the only staleness signal needed:
+	// re-coarsening at an unchanged generation would rebuild the same
+	// hierarchy bit for bit.
 	precond string
 	mg      *sparse.Multigrid
 	mgA     *sparse.CSR
@@ -160,19 +158,11 @@ type Model struct {
 	inject    *faultinject.Injector
 }
 
-// Preconditioner names (Options.Precond values after grid selection).
+// Preconditioner names (Options.Precond values; empty means precondMG).
 const (
 	precondJacobi = "jacobi"
 	precondMG     = "mg"
 )
-
-// autoMGGrid is the grid size at which the default preconditioner switches
-// from Jacobi to multigrid. Below it the Jacobi iteration counts are modest
-// and the hierarchy's setup and V-cycle cost are pure overhead; from the
-// paper's default 64 grid up, the near-constant multigrid iteration count
-// wins, because a value-changing assembly refreshes only the hierarchy rows
-// it reaches.
-const autoMGGrid = 64
 
 // cgTol is the CG relative residual tolerance, amply tight for ranking
 // placements that differ by tenths of a degree.
@@ -188,10 +178,10 @@ const maxIterPerGrid = 40
 // mgMaxIter is the iteration budget of every multigrid-preconditioned CG
 // attempt, whatever the grid. Each iteration there is one V-cycle (10–25 ms
 // at grid 128 on a 2-vCPU host), and the count does not grow with the grid:
-// the largest measured across the test suite and cmd/experiments is 29 (a
-// forced-multigrid grid-17 model), and 7 at grids from 48 to 256. 120 keeps
-// the 4× margin of the Jacobi budget and fails a stalled grid-128 attempt
-// in seconds, where 40·grid cycles took minutes.
+// cold solves take at most 13 iterations on the precondCases stacks at
+// grids 8 to 132, odd ones included (TestMultigridEveryGrid), and 7 at
+// grids from 48 to 256. 120 keeps a margin of about 10× and fails a
+// stalled grid-128 attempt in seconds, where 40·grid cycles took minutes.
 const mgMaxIter = 120
 
 // withMG returns opt preconditioned by the multigrid hierarchy mg under the
@@ -237,16 +227,12 @@ func NewModel(widthMM, heightMM float64, opt Options) (*Model, error) {
 		chipLayer:  chip,
 	}
 	switch opt.Precond {
-	case "":
-		if grid >= autoMGGrid {
-			m.precond = precondMG
-		} else {
-			m.precond = precondJacobi
-		}
-	case precondJacobi, precondMG:
-		m.precond = opt.Precond
+	case "", precondMG:
+		m.precond = precondMG
+	case precondJacobi:
+		m.precond = precondJacobi
 	default:
-		return nil, fmt.Errorf("thermal: unknown preconditioner %q (want jacobi or mg, or empty to select by grid)", opt.Precond)
+		return nil, fmt.Errorf("thermal: unknown preconditioner %q (want jacobi or mg, or empty for mg)", opt.Precond)
 	}
 	g2 := grid * grid
 	m.nNodes = (m.nDevLayers + 2) * g2 // +spreader +sink
@@ -497,7 +483,7 @@ func (m *Model) solveSpanned(ctx context.Context, sp *obs.Span, sources []Source
 
 // prepareAssembled rasterizes sources and brings the conductance matrix up to
 // date, via the full rebuild or the incremental delta path, and returns the
-// assembled system. It is the shared front half of Solve and SolveBatch.
+// assembled system: the front half of every steady-state solve.
 func (m *Model) prepareAssembled(sp *obs.Span, sources []Source) (*sparse.CSR, *sparse.CGSolver, error) {
 	if err := m.inject.Hit(faultinject.PointThermalAssemble); err != nil {
 		return nil, nil, fmt.Errorf("thermal: %w", err)

@@ -11,7 +11,13 @@ import (
 
 func newTestModel(t testing.TB, grid int) *Model {
 	t.Helper()
-	m, err := NewModel(45, 45, Options{Grid: grid})
+	return newModelPrecond(t, grid, "")
+}
+
+// newModelPrecond is newTestModel under the given Options.Precond.
+func newModelPrecond(t testing.TB, grid int, precond string) *Model {
+	t.Helper()
+	m, err := NewModel(45, 45, Options{Grid: grid, Precond: precond})
 	if err != nil {
 		t.Fatal(err)
 	}

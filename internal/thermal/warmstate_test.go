@@ -60,9 +60,11 @@ func TestWarmStateRoundTrip(t *testing.T) {
 // solve leaves the live warm buffer partial — but WarmState must keep
 // reporting the last converged field, or a checkpoint written after a
 // mid-solve SIGINT would resume from a cold (or garbage) start and break
-// bit-compatibility with the uninterrupted run.
+// bit-compatibility with the uninterrupted run. CG polls the context every
+// 32 iterations, which a multigrid solve at grid 16 never reaches, so the
+// test runs under Jacobi.
 func TestWarmStateSurvivesAbortedSolve(t *testing.T) {
-	m := newTestModel(t, 16)
+	m := newModelPrecond(t, 16, precondJacobi)
 	if _, err := m.Solve([]Source{offsetSource(0)}); err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +100,11 @@ func TestRestoreWarmStateValidation(t *testing.T) {
 }
 
 // TestSolveContextCanceled: a canceled context aborts the thermal solve with
-// an error that wraps context.Canceled.
+// an error that wraps context.Canceled. Like
+// TestWarmStateSurvivesAbortedSolve it needs a solve long enough to reach
+// a context poll, hence Jacobi.
 func TestSolveContextCanceled(t *testing.T) {
-	m := newTestModel(t, 32)
+	m := newModelPrecond(t, 32, precondJacobi)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := m.SolveContext(ctx, []Source{centeredSource(50)}); !errors.Is(err, context.Canceled) {

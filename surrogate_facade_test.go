@@ -13,17 +13,19 @@ import (
 
 // exactOnlyGolden pins the E1 outcome at the facade test fidelity (grid 16,
 // 60 steps, 1 run, 2000 compact steps, seed 1), captured from the exact-only
-// annealer before the surrogate was introduced. The values are asserted
-// bit-exactly: the surrogate must stay completely out of the default path —
-// no extra RNG draws, no reordered evaluations.
+// annealer before the surrogate was introduced and re-pinned once when grid
+// 16 moved from Jacobi to the multigrid preconditioner (the same fields to
+// the CG tolerance, so the anneal's accept decisions can differ). The values
+// are asserted bit-exactly: the surrogate must stay completely out of the
+// default path — no extra RNG draws, no reordered evaluations.
 var exactOnlyGolden = []struct {
 	label        string
 	tempC        float64
 	wirelengthMM float64
 }{
-	{"Compact-2.5D (a)", 92.285400829744333, 121036.79999999997},
-	{"TAP-2.5D repeaterless (b)", 90.459984397578637, 168960},
-	{"TAP-2.5D gas-station (c)", 90.340516537414231, 161792},
+	{"Compact-2.5D (a)", 92.285397303442977, 121036.79999999997},
+	{"TAP-2.5D repeaterless (b)", 90.563576886626407, 159744},
+	{"TAP-2.5D gas-station (c)", 90.340519666126056, 161792},
 }
 
 func TestNoSurrogateByteIdenticalToSeed(t *testing.T) {
