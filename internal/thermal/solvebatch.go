@@ -9,13 +9,12 @@ import (
 )
 
 // SolveBatch solves the steady-state field of B power scenarios of one
-// placement in a single pass: every spec must have the same source footprints
-// (count, rectangles and order), only the powers may differ. The conductance
-// matrix depends on footprints alone, so the batch shares one assembly (full
-// or incremental delta, exactly as a plain Solve would) and one
-// preconditioner setup — for the multigrid preconditioner that means one
-// hierarchy coarsening amortized over all B solves — and the right-hand
-// sides are solved together by sparse.SolveCGBatch's blocked sweep.
+// placement: every spec must have the same source footprints (count,
+// rectangles and order), only the powers may differ. The conductance matrix
+// depends on footprints alone, so the batch shares one assembly (full or
+// incremental delta, exactly as a plain Solve would) and one preconditioner
+// setup — for the multigrid preconditioner, one hierarchy coarsening — and
+// then solves the columns one after another on the plain CG loop.
 //
 // Semantics differ from a Solve sequence in three documented ways:
 //
@@ -28,8 +27,9 @@ import (
 //   - Each column's Result carries its own iteration count and temperature
 //     map; Recovery is always nil.
 //
-// Counter accounting matches B independent solves: ThermalSolves += B and
-// CGIterations accumulates every column's iterations.
+// A done ctx fails the batch before its next column starts, as well as at
+// the CG loop's own polls. Counter accounting matches B independent solves:
+// ThermalSolves += B and CGIterations accumulates every column's iterations.
 func (m *Model) SolveBatch(ctx context.Context, specs [][]Source) ([]*Result, error) {
 	if len(specs) == 0 {
 		return nil, nil
@@ -48,53 +48,55 @@ func (m *Model) SolveBatch(ctx context.Context, specs [][]Source) ([]*Result, er
 
 	sp := m.obs.StartSpanCtx(ctx, obs.PhaseThermalSolve, "batch")
 	defer sp.End()
-	a, _, err := m.prepareAssembled(sp, base)
+	a, cg, err := m.prepareAssembled(sp, base)
 	if err != nil {
 		return nil, err
 	}
-
-	nrhs := len(specs)
-	xs := make([][]float64, nrhs)
-	bs := make([][]float64, nrhs)
-	for c, list := range specs {
-		bs[c] = make([]float64, m.nNodes)
-		if err := m.powerVector(bs[c], list); err != nil {
-			return nil, err
-		}
-		xs[c] = make([]float64, m.nNodes)
-		for i := range xs[c] {
-			xs[c][i] = 1 // the uniform cold-start guess (see coldGuess)
-		}
+	if cg == nil {
+		cg = sparse.NewCGSolver(a)
 	}
 
 	opt := sparse.CGOptions{Tol: cgTol, MaxIter: m.maxIter, Inject: m.inject}
-	var cycles0 int64
 	if m.precond == precondMG {
 		mg, err := m.ensureMG(sp, a)
 		if err != nil {
 			return nil, fmt.Errorf("thermal: %w", err)
 		}
 		opt = withMG(opt, mg)
-		cycles0 = mg.Cycles()
-	}
-	iters, err := sparse.SolveCGBatch(ctx, a, xs, bs, opt)
-	if opt.Precond != nil {
-		m.addMGCycles(m.mg.Cycles() - cycles0)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("thermal: %w", err)
 	}
 
-	results := make([]*Result, nrhs)
+	results := make([]*Result, len(specs))
+	b := make([]float64, m.nNodes)
 	var total int64
-	for c := range specs {
-		if results[c], err = m.buildResult(xs[c], 1, iters[c]); err != nil {
+	for c, list := range specs {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("thermal: batch canceled before column %d: %w", c, err)
+		}
+		if err := m.powerVector(b, list); err != nil {
 			return nil, err
 		}
-		total += int64(iters[c])
+		x := make([]float64, m.nNodes)
+		for i := range x {
+			x[i] = 1 // the uniform cold-start guess (see coldGuess)
+		}
+		var cycles0 int64
+		if opt.Precond != nil {
+			cycles0 = m.mg.Cycles()
+		}
+		iters, err := cg.SolveContext(ctx, x, b, opt)
+		if opt.Precond != nil {
+			m.addMGCycles(m.mg.Cycles() - cycles0)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("thermal: batch column %d: %w", c, err)
+		}
+		if results[c], err = m.buildResult(x, 1, iters); err != nil {
+			return nil, err
+		}
+		total += int64(iters)
 	}
 	if m.ctr != nil {
-		m.ctr.ThermalSolves += int64(nrhs)
+		m.ctr.ThermalSolves += int64(len(specs))
 		m.ctr.CGIterations += total
 	}
 	return results, nil

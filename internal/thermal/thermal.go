@@ -50,7 +50,7 @@ type Options struct {
 	// behaviour (the recovery ladder's multigrid rung, cancellation
 	// between CG polls), not a user-facing option.
 	//
-	// The selection applies to Solve/SolveContext/SolveScaled; the transient
+	// The selection applies to Solve/SolveContext/SolveScaled/SolveBatch; the transient
 	// and liquid-cooling solvers keep their Jacobi path.
 	Precond string
 	// DisableIncremental forces every Solve through the full
