@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -22,6 +23,12 @@ import (
 // before touching the sink map, so flows without an attached sink — every CLI
 // run without -trace, every library use — pay one atomic load per *traced*
 // span and nothing at all for untraced ones.
+
+// ErrTraceCorrupt matches every error ReadTraceRecords and
+// TraceManifest.Verify return for damaged trace bytes: a malformed line
+// before the last, a line over the 1 MiB limit, or a file whose length or
+// checksum differs from its manifest.
+var ErrTraceCorrupt = errors.New("obs: trace file corrupt")
 
 // castagnoli is the CRC-32C table shared by trace files and their manifests
 // (the same polynomial the checkpoint/job sealing uses).
@@ -181,7 +188,8 @@ type TraceManifest struct {
 }
 
 // Verify recomputes the CRC-32C of the trace file at path and compares it
-// (and the byte count) against the manifest.
+// (and the byte count) against the manifest; a mismatch matches
+// ErrTraceCorrupt.
 func (m TraceManifest) Verify(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -193,8 +201,8 @@ func (m TraceManifest) Verify(path string) error {
 		return err
 	}
 	if bytes != m.Bytes || crc != m.CRC32C {
-		return fmt.Errorf("obs: trace file %s does not match manifest: %d bytes crc %08x, manifest says %d bytes crc %08x",
-			path, bytes, crc, m.Bytes, m.CRC32C)
+		return fmt.Errorf("%w: %s does not match its manifest: %d bytes crc %08x, manifest says %d bytes crc %08x",
+			ErrTraceCorrupt, path, bytes, crc, m.Bytes, m.CRC32C)
 	}
 	return nil
 }
@@ -272,7 +280,8 @@ func (o *Observer) ObserveTracedSpan(trace string, phase Phase, label string, st
 
 // ReadTraceRecords parses a JSONL trace stream. A partial trailing line — a
 // trace still being written, or cut off by a crash before its manifest sealed
-// — is tolerated and dropped.
+// — is tolerated and dropped. Damaged bytes elsewhere yield an error
+// matching ErrTraceCorrupt; a failing reader's own error is returned as is.
 func ReadTraceRecords(r io.Reader) ([]SpanRecord, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -289,11 +298,13 @@ func ReadTraceRecords(r io.Reader) ([]SpanRecord, error) {
 			if !sc.Scan() {
 				break
 			}
-			return nil, fmt.Errorf("obs: trace line %d: %w", len(out)+1, err)
+			return nil, fmt.Errorf("%w: line %d: %w", ErrTraceCorrupt, len(out)+1, err)
 		}
 		out = append(out, rec)
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
+		return nil, fmt.Errorf("%w: line %d: %w", ErrTraceCorrupt, len(out)+1, err)
+	} else if err != nil {
 		return nil, err
 	}
 	return out, nil

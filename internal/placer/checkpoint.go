@@ -218,8 +218,10 @@ func PrevCheckpointPath(path string) string { return path + ".prev" }
 //
 //   - the payload is wrapped in a CRC-32C-checksummed envelope, so any later
 //     bit rot or truncation is detected at load time rather than trusted;
-//   - the bytes land in a temporary sibling first and are fsynced before the
-//     rename, so a crash mid-write never corrupts an existing checkpoint;
+//   - the bytes land in a temporary sibling of this call's own first
+//     (writeTemp) and are fsynced before the rename, so a crash mid-write
+//     never corrupts an existing checkpoint, and neither does a second
+//     writer of the same path;
 //   - an existing checkpoint at path is rotated to path+".prev" (replacing
 //     any older generation), so one corrupted newest file never strands the
 //     run — LoadCheckpointFallback reads the previous generation instead;
@@ -231,23 +233,8 @@ func SaveCheckpointFile(path string, cp *Checkpoint) error {
 		return err
 	}
 
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	tmp, err := writeTemp(path, blob)
 	if err != nil {
-		return err
-	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
 		return err
 	}
 	if _, err := os.Stat(path); err == nil {

@@ -97,23 +97,8 @@ func ReadSealedFile(path, format string, v any) error {
 // directory fsync, so a crash at any instant leaves either the old bytes or
 // the new bytes, never a torn mix.
 func atomicWriteFile(path string, blob []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	tmp, err := writeTemp(path, blob)
 	if err != nil {
-		return err
-	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -121,4 +106,28 @@ func atomicWriteFile(path string, blob []byte) error {
 		return err
 	}
 	return SyncDir(filepath.Dir(path))
+}
+
+// writeTemp writes blob to a new temp sibling of path, named base-*.tmp,
+// fsyncs it and returns its name. The name is this call's own, so two
+// writers of one path never truncate or rename each other's bytes; a
+// directory scan skips the .tmp suffix. On error no temp file is left.
+func writeTemp(path string, blob []byte) (string, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+"-*.tmp")
+	if err != nil {
+		return "", err
+	}
+	tmp := f.Name()
+	_, err = f.Write(blob)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return "", err
+	}
+	return tmp, nil
 }

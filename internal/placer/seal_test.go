@@ -84,3 +84,64 @@ func TestSyncDirReportsMissingDirectory(t *testing.T) {
 		t.Errorf("missing directory: error %v, want one matching os.ErrNotExist", err)
 	}
 }
+
+// TestSealedFileConcurrentWriters: two writers of one path, as a revenant
+// worker and a lease's new holder both renewing one lease file, alternate
+// different payloads while a reader opens the path. Each writer goes
+// through a temp file of its own, so every write succeeds, every open
+// parses as one writer's whole payload, and no temp file is left behind.
+func TestSealedFileConcurrentWriters(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "w.lease.json")
+	const writes = 150
+	payload := func(w int) sealRecord {
+		// Payloads of different lengths, so a torn mix cannot parse.
+		return sealRecord{ID: string(bytes.Repeat([]byte{'a' + byte(w)}, 64<<(4*w))), State: "running", Gen: w}
+	}
+	if err := WriteSealedFile(path, "tap25d-lease", payload(0)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 2)
+	for w := range 2 {
+		go func() {
+			var err error
+			for k := 0; k < writes && err == nil; k++ {
+				err = WriteSealedFile(path, "tap25d-lease", payload(w))
+			}
+			errs <- err
+		}()
+	}
+	reads := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-done:
+				reads <- nil
+				return
+			default:
+			}
+			var got sealRecord
+			if err := ReadSealedFile(path, "tap25d-lease", &got); err != nil {
+				reads <- err
+				return
+			}
+			if got != payload(got.Gen) {
+				reads <- errors.New("read a payload neither writer wrote")
+				return
+			}
+		}
+	}()
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Errorf("writer: %v", err)
+		}
+	}
+	close(done)
+	if err := <-reads; err != nil {
+		t.Errorf("reader: %v", err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) > 0 {
+		t.Errorf("temp files left behind: %v", tmps)
+	}
+}

@@ -197,17 +197,14 @@ func (s *CGSolver) Solve(x, b []float64, opt CGOptions) (int, error) {
 	return s.SolveContext(context.Background(), x, b, opt)
 }
 
-// cancelCheckInterval is how many CG iterations run between ctx.Err() polls.
-// Thermal solves warm-started by the annealer converge in a handful of
-// iterations, so a modest interval keeps cancellation latency at a few
-// matrix-vector products while adding no measurable per-iteration cost.
-const cancelCheckInterval = 32
-
-// SolveContext is Solve with cooperative cancellation: the outer CG loop
-// polls ctx every cancelCheckInterval iterations and returns ctx.Err()
-// (wrapped) when the context is done, leaving x holding the current iterate.
-// The polling does not touch the arithmetic, so an uncancelled SolveContext
-// is bit-identical to Solve.
+// SolveContext is Solve with cooperative cancellation: the CG loop polls ctx
+// before every iteration, the first included, and returns ctx.Err()
+// (wrapped) with the count of completed iterations when the context is
+// done, leaving x holding the current iterate. A multigrid-preconditioned
+// solve ends within a few iterations, so a sparser poll would let a
+// canceled solve run to its answer; one poll costs far less than one
+// matrix-vector product. The polling does not touch the arithmetic, so an
+// uncancelled SolveContext is bit-identical to Solve.
 func (s *CGSolver) SolveContext(ctx context.Context, x, b []float64, opt CGOptions) (int, error) {
 	a := s.a
 	n := a.N
@@ -285,10 +282,8 @@ func (s *CGSolver) SolveContext(ctx context.Context, x, b []float64, opt CGOptio
 	copy(p, z)
 
 	for it := 1; it <= maxIter; it++ {
-		if it%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return it, fmt.Errorf("sparse: CG canceled after %d iterations: %w", it-1, err)
-			}
+		if err := ctx.Err(); err != nil {
+			return it - 1, fmt.Errorf("sparse: CG canceled after %d iterations: %w", it-1, err)
 		}
 		pap := s.mulVecDot(ap, p, p)
 		if pap <= 0 {

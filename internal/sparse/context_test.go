@@ -9,8 +9,7 @@ import (
 )
 
 // chainSystem builds the 1-D Laplacian chain — SPD with condition number
-// ~n², so cold-started CG needs many iterations and the cancellation poll
-// (every cancelCheckInterval iterations) is guaranteed to fire.
+// ~n², so cold-started CG needs many iterations.
 func chainSystem(n int) (*CSR, []float64) {
 	b := NewBuilder(n)
 	for i := 0; i < n; i++ {
@@ -39,8 +38,30 @@ func TestSolveCGContextCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap context.Canceled", err)
 	}
-	if it == 0 || it > cancelCheckInterval {
-		t.Fatalf("canceled at iteration %d, want the first poll at %d", it, cancelCheckInterval)
+	if it != 0 {
+		t.Fatalf("canceled after %d iterations, want 0: the first poll comes before the first iteration", it)
+	}
+}
+
+// TestSolveCGContextCanceledMidSolve: the poll runs before every iteration,
+// so a context canceled during iteration k stops the solve after exactly k
+// iterations.
+func TestSolveCGContextCanceledMidSolve(t *testing.T) {
+	a, rhs := chainSystem(512)
+	const k = 3
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opt := CGOptions{Tol: 1e-12, OnIteration: func(it int, _ float64) {
+		if it == k {
+			cancel()
+		}
+	}}
+	it, err := NewCGSolver(a).SolveContext(ctx, make([]float64, a.N), rhs, opt)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v does not wrap context.Canceled", err)
+	}
+	if it != k {
+		t.Fatalf("canceled after %d iterations, want %d", it, k)
 	}
 }
 

@@ -47,12 +47,13 @@ import (
 //     backward sweeps are A-adjoints of each other and block GS is
 //     unconditionally A-norm convergent for SPD matrices, so the V-cycle is
 //     symmetric positive definite with no damping parameter to tune;
-//   - from grid 128 up (splitMinGrid), a two-block split of every level at
+//   - from grid 64 up (splitMinGrid), a two-block split of every level at
 //     in-plane row ny/2: each block sweeps its own columns in the same
 //     order and lags only its couplings across the cut, so the two blocks
-//     of every pass of the cycle run on two goroutines. The forward and
-//     backward two-block sweeps are still each other's A-adjoints. Below
-//     grid 128 block 1 is empty and the sweeps are the lexicographic ones;
+//     of every pass of the cycle can run on two goroutines, and do when a
+//     core is idle (claimCore). The forward and backward two-block sweeps
+//     are still each other's A-adjoints. Below grid 64 block 1 is empty and
+//     the sweeps are the lexicographic ones;
 //   - coarsening while either in-plane size is at least 8, odd sizes to
 //     ⌈n/2⌉ (the last coarse cell of an odd axis has one fine child fewer),
 //     so every hierarchy ends at a plane of at most 7×7 columns, and a
@@ -760,8 +761,9 @@ func (lev *mgLevel) envelope() {
 // numbering: the operator (level 0 snapshots the bound fine matrix's values
 // at Refresh; coarser levels own Galerkin values), the line smoother's
 // per-column tridiagonal LDLᵀ factors (lfac holds the unit-lower multiplier
-// of each row toward the layer below, dinv the inverse pivots), and the rows
-// the current Refresh recomputes.
+// of each row toward the layer below, dinv the inverse pivots; both nil on
+// the coarsest level, which is never smoothed), and the rows the current
+// Refresh recomputes.
 type mgLevelData struct {
 	a          *CSR
 	lfac, dinv []float64
@@ -820,11 +822,12 @@ func forRuns(w, n int, fn func(k, lo, hi int)) {
 // then the cycle preconditions with the values of the previous Refresh,
 // which affects CG's iteration count but never its answer.
 //
-// Apply is safe for concurrent use: a V-cycle only reads the numeric
-// hierarchy and writes scratch it takes from a per-instance free list, so
-// several solves may share one hierarchy. Refresh must not run concurrently
-// with Apply or with itself. The symbolic skeleton is shared process-wide
-// across instances with the same geometry and sparsity pattern.
+// A Multigrid is not safe for concurrent use: every V-cycle writes the one
+// scratch set of its instance, so Apply and Refresh must not overlap with
+// each other or themselves. Concurrent solves use an instance each; they
+// share the symbolic skeleton, which is cached process-wide across
+// instances with the same geometry and sparsity pattern, and the idle-core
+// count that decides whether a cycle forks (claimCore).
 type Multigrid struct {
 	s *mgStructure
 	a *CSR
@@ -832,17 +835,15 @@ type Multigrid struct {
 	lv   []mgLevelData
 	chol []float64 // Cholesky factor of the coarsest level, within its envelope
 	rows []int32   // one level's marked rows, Refresh scratch
-
-	mu   sync.Mutex
-	free []*mgCycle // idle V-cycle scratch
+	cyc  *mgCycle  // V-cycle scratch, allocated by the first Apply
 
 	// needFull makes the next Refresh recompute every row: set for a fresh
 	// instance and by a failed Refresh, whose partial updates the row marks
 	// no longer describe.
 	needFull bool
 
-	cycles atomic.Int64
-	setups int64
+	cycles, setups int64
+	forks          int64 // cycles that ran block 1 on a helper
 }
 
 // NewMultigrid builds a V-cycle preconditioner for a, whose rows must be laid
@@ -873,8 +874,10 @@ func NewMultigrid(a *CSR, geo GridGeometry) (*Multigrid, error) {
 		// also what Refresh diffs against to find the rows that changed.
 		d := &mg.lv[l]
 		d.a = &CSR{N: lev.n, RowPtr: lev.rowPtr, Col: lev.col, Val: make([]float64, len(lev.col))}
-		d.lfac = make([]float64, lev.n)
-		d.dinv = make([]float64, lev.n)
+		if lev.line { // the coarsest level is solved by its Cholesky factor
+			d.lfac = make([]float64, lev.n)
+			d.dinv = make([]float64, lev.n)
+		}
 		d.dirty = make([]bool, lev.n)
 	}
 	last := s.levels[len(s.levels)-1]
@@ -890,7 +893,7 @@ func NewMultigrid(a *CSR, geo GridGeometry) (*Multigrid, error) {
 func (mg *Multigrid) Levels() int { return len(mg.lv) }
 
 // Cycles returns the number of V-cycles applied since construction.
-func (mg *Multigrid) Cycles() int64 { return mg.cycles.Load() }
+func (mg *Multigrid) Cycles() int64 { return mg.cycles }
 
 // Setups returns the number of successful Refresh passes (including the
 // constructor's).
@@ -993,8 +996,9 @@ func (mg *Multigrid) markParents(l int) {
 	}
 }
 
-// refreshSmoother checks the diagonals of level l's marked rows and
-// refactors the line-smoother blocks of every column holding a marked row.
+// refreshSmoother checks the diagonals of level l's marked rows and, on a
+// smoothed level, refactors the line-smoother blocks of every column holding
+// a marked row.
 func (mg *Multigrid) refreshSmoother(l int) error {
 	lev, d := mg.s.levels[l], &mg.lv[l]
 	for i, slot := range lev.diagSlot {
@@ -1009,6 +1013,9 @@ func (mg *Multigrid) refreshSmoother(l int) error {
 			p, c := lev.pos(i)
 			return fmt.Errorf("sparse: multigrid level %d has non-positive diagonal %g at layer %d column %d; matrix not SPD", l, v, p, c)
 		}
+	}
+	if !lev.line {
+		return nil
 	}
 	// Factor each vertical column's tridiagonal block (diagonal plus the
 	// up/down couplings) as LDLᵀ for the line smoother. The blocks are
@@ -1130,16 +1137,21 @@ func (mg *Multigrid) galerkinRow(l, I int, g *galerkinScratch) {
 	}
 }
 
-// Apply runs one V-cycle: z ≈ A⁻¹·r. It implements Preconditioner and is
-// safe for concurrent use. r and z are in the bound matrix's layer-major
-// numbering and are permuted into and out of level 0's.
+// Apply runs one V-cycle: z ≈ A⁻¹·r. It implements Preconditioner. r and z
+// are in the bound matrix's layer-major numbering and are permuted into and
+// out of level 0's.
 func (mg *Multigrid) Apply(z, r []float64) {
-	mg.cycles.Add(1)
-	c := mg.takeCycle()
-	defer mg.putCycle(c)
+	mg.cycles++
+	if mg.cyc == nil {
+		mg.cyc = mg.newCycle()
+	}
+	c := mg.cyc
 	lev, r0, z0 := mg.s.levels[0], c.r[0], c.z[0]
 	nxy := lev.nx * lev.ny
-	if lev.cut < nxy && runtime.GOMAXPROCS(0) > 1 {
+	busy.Add(1)
+	defer busy.Add(-1)
+	if lev.cut < nxy && claimCore() {
+		mg.forks++
 		c.fork()
 		defer c.join()
 	}
@@ -1166,10 +1178,34 @@ func (mg *Multigrid) Apply(z, r []float64) {
 // splitMinGrid is the smallest in-plane grid, in both directions, whose
 // hierarchy is split into two blocks. The split is a fixed rule on the
 // geometry, so it never depends on GOMAXPROCS and neither do the bits. It
-// costs a few CG iterations where it lags a coupling, so it only pays where
-// one V-cycle is long enough to keep a second core busy: a grid-128 cycle
-// is, while at grid 64 a second busy flow usually holds the other core.
-const splitMinGrid = 128
+// lags the couplings across the cut, which cost one cold CG iteration on
+// one of four thermal stacks at grid 64, so it starts at the paper grid,
+// where a lone forked cycle takes about half the time of one run serially;
+// smaller grids keep the one-block cycle and its bits.
+const splitMinGrid = 64
+
+// busy counts the goroutines of this process that run V-cycle passes, over
+// every Multigrid: each cycle's caller and, while it is forked, its helper.
+var busy atomic.Int32
+
+// claimCore reserves a core for a split cycle's helper and reports whether
+// it got one: it does while busy, the caller included, is below
+// GOMAXPROCS. Two flows solving at once on two cores therefore each run
+// both blocks in order, and a lone flow's cycle runs them on both cores.
+// The core goes back at join. Which goroutine runs a block changes no bit,
+// so the gate never moves the answer.
+func claimCore() bool {
+	procs := int32(runtime.GOMAXPROCS(0))
+	for {
+		n := busy.Load()
+		if n >= procs {
+			return false
+		}
+		if busy.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
 
 // spinPolls is how many times a worker polls for the other half before it
 // also yields its processor on every poll.
@@ -1185,10 +1221,11 @@ func (c *mgCycle) fork() {
 	go c.help()
 }
 
-// join stops the helper that fork started.
+// join stops the helper that fork started and releases its core.
 func (c *mgCycle) join() {
 	c.run(nil)
 	c.forked = false
+	busy.Add(-1)
 }
 
 // run runs one pass of the cycle over both blocks and returns when both are
@@ -1251,26 +1288,6 @@ func (mg *Multigrid) newCycle() *mgCycle {
 		}
 	}
 	return c
-}
-
-// takeCycle pops idle V-cycle scratch off the free list, allocating a set
-// when every one is in use (or on the first Apply).
-func (mg *Multigrid) takeCycle() *mgCycle {
-	mg.mu.Lock()
-	defer mg.mu.Unlock()
-	if k := len(mg.free) - 1; k >= 0 {
-		c := mg.free[k]
-		mg.free = mg.free[:k]
-		return c
-	}
-	return mg.newCycle()
-}
-
-// putCycle returns V-cycle scratch to the free list.
-func (mg *Multigrid) putCycle(c *mgCycle) {
-	mg.mu.Lock()
-	mg.free = append(mg.free, c)
-	mg.mu.Unlock()
 }
 
 // vcycle recurses one level, from c.r[l] into c.z[l]: forward line-GS

@@ -649,41 +649,6 @@ func TestMultigridBuildBitsAcrossGOMAXPROCS(t *testing.T) {
 	sameHierarchy(t, parallel, serial)
 }
 
-// TestMultigridConcurrentApply: V-cycles running at once on one hierarchy
-// each give the bits of the same cycle run alone, and every cycle counts.
-func TestMultigridConcurrentApply(t *testing.T) {
-	const g, layers, cols = 32, 4, 8
-	a := grid3D(g, layers)
-	mg, err := NewMultigrid(a, stackGeo(g, layers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	rs, want, got := make([][]float64, cols), make([][]float64, cols), make([][]float64, cols)
-	for c := range rs {
-		rs[c], want[c], got[c] = make([]float64, a.N), make([]float64, a.N), make([]float64, a.N)
-		for i := range rs[c] {
-			rs[c][i] = rng.NormFloat64()
-		}
-		mg.Apply(want[c], rs[c])
-	}
-	var wg sync.WaitGroup
-	for c := range rs {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			mg.Apply(got[c], rs[c])
-		}(c)
-	}
-	wg.Wait()
-	for c := range rs {
-		sameBits(t, fmt.Sprintf("column %d", c), got[c], want[c])
-	}
-	if n := mg.Cycles(); n != 2*cols {
-		t.Fatalf("Cycles() = %d, want %d", n, 2*cols)
-	}
-}
-
 // TestMultigridRefreshAfterFailureIsFull: a Refresh that fails part-way has
 // already rewritten some rows, so the next Refresh must recompute every row
 // rather than trust the row marks — it fails again on the unchanged non-SPD
@@ -960,10 +925,9 @@ func TestMultigridSplitRowLayout(t *testing.T) {
 }
 
 // TestTwoBlockCycleBitsAcrossGOMAXPROCS: a grid-128 hierarchy is split into
-// two blocks, and at GOMAXPROCS above 1 a cycle runs block 1 on a helper
-// goroutine. The split alone fixes every row's arithmetic, so a cycle must
-// give the same bits at GOMAXPROCS 1, 2 and 4, and with several cycles at
-// once on one hierarchy.
+// two blocks, and at GOMAXPROCS above 1 a lone cycle runs block 1 on a
+// helper goroutine. The split alone fixes every row's arithmetic, so a
+// cycle must give the same bits at GOMAXPROCS 1, 2 and 4.
 func TestTwoBlockCycleBitsAcrossGOMAXPROCS(t *testing.T) {
 	const g, layers, cols = 128, 4, 4
 	a := grid3D(g, layers)
@@ -999,19 +963,72 @@ func TestTwoBlockCycleBitsAcrossGOMAXPROCS(t *testing.T) {
 		got := make([]float64, a.N)
 		mg.Apply(got, rs[0])
 		sameBits(t, fmt.Sprintf("GOMAXPROCS %d", procs), got, want[0])
-		var wg sync.WaitGroup
-		gots := make([][]float64, cols)
-		for c := range rs {
-			gots[c] = make([]float64, a.N)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				mg.Apply(gots[c], rs[c])
-			}()
+	}
+}
+
+// TestTwoBlockCycleForksOnlyOntoIdleCores: from grid 64 up a hierarchy is
+// split, and a cycle forks its helper only while the V-cycles in flight,
+// helpers included, leave a core idle. At GOMAXPROCS 2 a lone cycle forks,
+// a cycle that starts while another flow's cycle holds the second core
+// runs both blocks on its caller, and cycles of two hierarchies applied at
+// once give the bits of serial applies and leave no core claimed.
+func TestTwoBlockCycleForksOnlyOntoIdleCores(t *testing.T) {
+	const g, layers, cols = 64, 4, 6
+	old := runtime.GOMAXPROCS(2)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	rng := rand.New(rand.NewSource(13))
+	var mgs [2]*Multigrid
+	var rs, want [2][][]float64
+	for k := range mgs {
+		a := grid3D(g, layers)
+		localMove(t, a, g, layers, rng)
+		var err error
+		if mgs[k], err = NewMultigrid(a, stackGeo(g, layers)); err != nil {
+			t.Fatal(err)
 		}
-		wg.Wait()
-		for c := range rs {
-			sameBits(t, fmt.Sprintf("GOMAXPROCS %d, concurrent column %d", procs, c), gots[c], want[c])
+		if lev := mgs[k].s.levels[0]; lev.cut != g*g/2 {
+			t.Fatalf("grid %d: block 1 starts at column %d, want %d", g, lev.cut, g*g/2)
 		}
+		for range cols {
+			r := make([]float64, a.N)
+			for i := range r {
+				r[i] = rng.NormFloat64()
+			}
+			z := make([]float64, a.N)
+			mgs[k].Apply(z, r)
+			rs[k], want[k] = append(rs[k], r), append(want[k], z)
+		}
+	}
+	if mgs[0].forks != cols {
+		t.Fatalf("%d of %d lone cycles forked, want all", mgs[0].forks, cols)
+	}
+	z := make([]float64, len(rs[0][0]))
+	busy.Add(1) // another flow's cycle holds the second core
+	mgs[0].Apply(z, rs[0][0])
+	busy.Add(-1)
+	if mgs[0].forks != cols {
+		t.Fatal("a cycle forked while no core was idle")
+	}
+	sameBits(t, "unforked cycle", z, want[0][0])
+	var got [2][cols][]float64
+	var wg sync.WaitGroup
+	for k, mg := range mgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := range cols {
+				got[k][c] = make([]float64, len(rs[k][c]))
+				mg.Apply(got[k][c], rs[k][c])
+			}
+		}()
+	}
+	wg.Wait()
+	for k := range mgs {
+		for c := range cols {
+			sameBits(t, fmt.Sprintf("hierarchy %d, concurrent column %d", k, c), got[k][c], want[k][c])
+		}
+	}
+	if n := busy.Load(); n != 0 {
+		t.Fatalf("%d cores still claimed after every cycle returned", n)
 	}
 }

@@ -325,13 +325,19 @@ func mgModel(t *testing.T, pc precondCase, g int) (*Model, sparse.GridGeometry) 
 // unsplit cycle in exact arithmetic. On real stacks one V-cycle must agree
 // with the reference to 1e-12 (max-norm, relative) at every hierarchy shape
 // the pinned hashes cover, and preconditioned CG must take the same number
-// of iterations per solve at the paper grid and at grid 128.
+// of iterations per solve at the paper grid and at grid 128. From grid 64
+// up the hierarchy is split into two blocks (splitMinGrid), so at grid 64
+// the reference is the serial two-block cycle; at grid 128 CG is held to
+// the one-block cycle's count, which the split does not change there.
 func TestSplitSmootherAgreesWithUnsplitCycle(t *testing.T) {
 	for _, pc := range precondCases() {
 		for _, g := range []int{16, 17, 24, 64} {
 			t.Run(fmt.Sprintf("%s/apply/grid%d", pc.name, g), func(t *testing.T) {
 				m, geo := mgModel(t, pc, g)
 				ref := newRefVCycle(t, m.mg, geo)
+				if g == 64 {
+					ref.twoBlock()
+				}
 				r := make([]float64, m.nNodes)
 				for i := range r {
 					r[i] = float64((i*7919)%1009)/1009 - 0.5
@@ -351,6 +357,9 @@ func TestSplitSmootherAgreesWithUnsplitCycle(t *testing.T) {
 				}
 				m, geo := mgModel(t, pc, g)
 				ref := newRefVCycle(t, m.mg, geo)
+				if g == 64 {
+					ref.twoBlock()
+				}
 				var iters [2]int
 				for k, pre := range []sparse.Preconditioner{m.mg, ref} {
 					m.coldGuess()
@@ -369,34 +378,36 @@ func TestSplitSmootherAgreesWithUnsplitCycle(t *testing.T) {
 	}
 }
 
-// TestTwoBlockCycleMatchesReference: from grid 128 up every smoothed level
+// TestTwoBlockCycleMatchesReference: from grid 64 up every smoothed level
 // is split into two blocks at in-plane row ny/2, and each sweep lags the
-// couplings across the cut. On the four precondCases stacks at grid 128 one
-// V-cycle must agree with the serial two-block reference to 1e-12
-// (max-norm, relative); TestSplitSmootherAgreesWithUnsplitCycle checks that
-// cold CG still takes as many iterations as under the one-block cycle.
+// couplings across the cut. On the four precondCases stacks at grids 64
+// and 128 one V-cycle must agree with the serial two-block reference to
+// 1e-12 (max-norm, relative); TestSplitSmootherAgreesWithUnsplitCycle
+// checks cold CG against the reference's count.
 func TestTwoBlockCycleMatchesReference(t *testing.T) {
-	if testing.Short() {
-		t.Skip("grid-128 models are slow under -short")
-	}
 	for _, pc := range precondCases() {
 		t.Run(pc.name, func(t *testing.T) {
-			m, geo := mgModel(t, pc, 128)
-			ref := newRefVCycle(t, m.mg, geo)
-			ref.twoBlock()
-			r := make([]float64, m.nNodes)
-			for i := range r {
-				r[i] = float64((i*7919)%1009)/1009 - 0.5
-			}
-			got, want, one := make([]float64, len(r)), make([]float64, len(r)), make([]float64, len(r))
-			m.mg.Apply(got, r)
-			ref.Apply(want, r)
-			if d := maxRelDiff(got, want); d > 1e-12 {
-				t.Errorf("V-cycle deviates from the two-block reference by %.3g (relative)", d)
-			}
-			newRefVCycle(t, m.mg, geo).Apply(one, r)
-			if d := maxRelDiff(got, one); d < 1e-9 {
-				t.Errorf("V-cycle is within %.3g of the one-block reference: the hierarchy is not split", d)
+			for _, g := range []int{64, 128} {
+				if g > 64 && testing.Short() {
+					continue // grid-128 models are slow under -short
+				}
+				m, geo := mgModel(t, pc, g)
+				ref := newRefVCycle(t, m.mg, geo)
+				ref.twoBlock()
+				r := make([]float64, m.nNodes)
+				for i := range r {
+					r[i] = float64((i*7919)%1009)/1009 - 0.5
+				}
+				got, want, one := make([]float64, len(r)), make([]float64, len(r)), make([]float64, len(r))
+				m.mg.Apply(got, r)
+				ref.Apply(want, r)
+				if d := maxRelDiff(got, want); d > 1e-12 {
+					t.Errorf("grid %d: V-cycle deviates from the two-block reference by %.3g (relative)", g, d)
+				}
+				newRefVCycle(t, m.mg, geo).Apply(one, r)
+				if d := maxRelDiff(got, one); d < 1e-9 {
+					t.Errorf("grid %d: V-cycle is within %.3g of the one-block reference: the hierarchy is not split", g, d)
+				}
 			}
 		})
 	}
@@ -405,9 +416,9 @@ func TestTwoBlockCycleMatchesReference(t *testing.T) {
 // TestTwoBlockCyclePositive: the two-block smoother is only guaranteed
 // definite on M-matrix levels, and the Galerkin levels are not M-matrices,
 // so r·M⁻¹r must be checked positive on real stacks, for random r, at the
-// split grids 128 and 256.
+// split grids 64, 128 and 256.
 func TestTwoBlockCyclePositive(t *testing.T) {
-	for _, g := range []int{128, 256} {
+	for _, g := range []int{64, 128, 256} {
 		for _, pc := range precondCases() {
 			t.Run(fmt.Sprintf("%s/grid%d", pc.name, g), func(t *testing.T) {
 				if g > 128 && testing.Short() {

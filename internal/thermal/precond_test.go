@@ -186,8 +186,9 @@ func TestPrecondUnknownRejected(t *testing.T) {
 // odd grids included, where the point Gauss-Seidel coarsest level it
 // replaced took 19 to 31 at grids 17 and 66. Grid 8, whose two-level
 // 8 → 4 hierarchy is the one it always had, takes 11 to 13, and so does the
-// generated 60 mm scenario at grid 17; both are held to 13. Grid 132 is
-// split into two blocks and passes through the odd planes 33, 17, 9 and 5.
+// generated 60 mm scenario at grid 17; both are held to 13. Grids 66, 100
+// and 132 are split into two blocks, and 132 passes through the odd planes
+// 33, 17, 9 and 5.
 func TestMultigridEveryGrid(t *testing.T) {
 	for _, g := range []int{8, 15, 17, 33, 66, 100, 132} {
 		for _, pc := range precondCases() {

@@ -27,8 +27,9 @@ import (
 //   - Each column's Result carries its own iteration count and temperature
 //     map; Recovery is always nil.
 //
-// A done ctx fails the batch before its next column starts, as well as at
-// the CG loop's own polls. Counter accounting matches B independent solves:
+// A done ctx fails the batch at the CG loop's poll before the next
+// iteration, the first of a column included. Counter accounting matches B
+// independent solves:
 // ThermalSolves += B and CGIterations accumulates every column's iterations.
 func (m *Model) SolveBatch(ctx context.Context, specs [][]Source) ([]*Result, error) {
 	if len(specs) == 0 {
@@ -69,9 +70,6 @@ func (m *Model) SolveBatch(ctx context.Context, specs [][]Source) ([]*Result, er
 	b := make([]float64, m.nNodes)
 	var total int64
 	for c, list := range specs {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("thermal: batch canceled before column %d: %w", c, err)
-		}
 		if err := m.powerVector(b, list); err != nil {
 			return nil, err
 		}

@@ -47,8 +47,8 @@ type Options struct {
 	// empty default and "mg" are the geometric multigrid V-cycle at every
 	// grid; "jacobi" forces the matrix diagonal, the reference path of the
 	// solver-scaling bench and of the tests that exercise Jacobi-specific
-	// behaviour (the recovery ladder's multigrid rung, cancellation
-	// between CG polls), not a user-facing option.
+	// behaviour (the recovery ladder's multigrid rung), not a user-facing
+	// option.
 	//
 	// The selection applies to Solve/SolveContext/SolveScaled/SolveBatch; the transient
 	// and liquid-cooling solvers keep their Jacobi path.

@@ -60,29 +60,33 @@ func TestWarmStateRoundTrip(t *testing.T) {
 // solve leaves the live warm buffer partial — but WarmState must keep
 // reporting the last converged field, or a checkpoint written after a
 // mid-solve SIGINT would resume from a cold (or garbage) start and break
-// bit-compatibility with the uninterrupted run. CG polls the context every
-// 32 iterations, which a multigrid solve at grid 16 never reaches, so the
-// test runs under Jacobi.
+// bit-compatibility with the uninterrupted run. CG polls the context before
+// every iteration, so the multigrid path, whose solves end within a few
+// iterations, aborts as the Jacobi path does.
 func TestWarmStateSurvivesAbortedSolve(t *testing.T) {
-	m := newModelPrecond(t, 16, precondJacobi)
-	if _, err := m.Solve([]Source{offsetSource(0)}); err != nil {
-		t.Fatal(err)
-	}
-	ws1 := m.WarmState()
+	for _, precond := range []string{precondJacobi, precondMG} {
+		t.Run(precond, func(t *testing.T) {
+			m := newModelPrecond(t, 16, precond)
+			if _, err := m.Solve([]Source{offsetSource(0)}); err != nil {
+				t.Fatal(err)
+			}
+			ws1 := m.WarmState()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := m.SolveContext(ctx, []Source{offsetSource(3)}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveContext error = %v, want context.Canceled", err)
-	}
-	ws2 := m.WarmState()
-	if ws2 == nil {
-		t.Fatal("aborted solve discarded the last converged warm state")
-	}
-	for i := range ws1 {
-		if ws1[i] != ws2[i] {
-			t.Fatalf("warm state mutated by aborted solve at node %d: %v vs %v", i, ws1[i], ws2[i])
-		}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := m.SolveContext(ctx, []Source{offsetSource(3)}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("SolveContext error = %v, want context.Canceled", err)
+			}
+			ws2 := m.WarmState()
+			if ws2 == nil {
+				t.Fatal("aborted solve discarded the last converged warm state")
+			}
+			for i := range ws1 {
+				if ws1[i] != ws2[i] {
+					t.Fatalf("warm state mutated by aborted solve at node %d: %v vs %v", i, ws1[i], ws2[i])
+				}
+			}
+		})
 	}
 }
 
@@ -100,15 +104,17 @@ func TestRestoreWarmStateValidation(t *testing.T) {
 }
 
 // TestSolveContextCanceled: a canceled context aborts the thermal solve with
-// an error that wraps context.Canceled. Like
-// TestWarmStateSurvivesAbortedSolve it needs a solve long enough to reach
-// a context poll, hence Jacobi.
+// an error that wraps context.Canceled, under either preconditioner.
 func TestSolveContextCanceled(t *testing.T) {
-	m := newModelPrecond(t, 32, precondJacobi)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := m.SolveContext(ctx, []Source{centeredSource(50)}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveContext error = %v, want context.Canceled", err)
+	for _, precond := range []string{precondJacobi, precondMG} {
+		t.Run(precond, func(t *testing.T) {
+			m := newModelPrecond(t, 32, precond)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := m.SolveContext(ctx, []Source{centeredSource(50)}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("SolveContext error = %v, want context.Canceled", err)
+			}
+		})
 	}
 }
 
