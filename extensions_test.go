@@ -114,6 +114,42 @@ func TestTransientHonoursContext(t *testing.T) {
 	}
 }
 
+// TestEvaluateLiquidHonoursContext: a canceled Options.Context stops the
+// liquid-cooling solve with context.Canceled.
+func TestEvaluateLiquidHonoursContext(t *testing.T) {
+	sys, err := BuiltinSystem("cpudram")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = EvaluateLiquid(sys, CPUDRAMOriginalPlacement(), LiquidCooling{}, Options{ThermalGrid: 16, Context: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestTDPEnvelopeValidatesSystem: a chiplet power that is not a finite
+// non-negative number fails TDPEnvelope with the system error Evaluate
+// gives, before any model is built.
+func TestTDPEnvelopeValidatesSystem(t *testing.T) {
+	for _, power := range []float64{math.NaN(), math.Inf(1), -5} {
+		sys, err := BuiltinSystem("cpudram")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Chiplets[0].Power = power
+		_, want := Evaluate(sys, CPUDRAMOriginalPlacement(), Options{ThermalGrid: 16})
+		if want == nil {
+			t.Fatalf("power %v: Evaluate accepted the system", power)
+		}
+		_, err = TDPEnvelope(sys, CPUDRAMOriginalPlacement(), nil, Options{ThermalGrid: 16})
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("power %v: TDPEnvelope error = %v, want %v", power, err, want)
+		}
+	}
+}
+
 func TestDefaultWireFacade(t *testing.T) {
 	w := DefaultWire()
 	if err := w.Validate(); err != nil {

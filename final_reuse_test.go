@@ -6,39 +6,64 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+
+	"tap25d/internal/placer"
+	"tap25d/internal/route"
+	"tap25d/internal/thermal"
 )
 
-// sameFinal fails unless Place's final evaluation got equals a fresh
-// Evaluate of the same placement, bit for bit.
+// privateEvaluate is Evaluate of placement p on a private thermal model,
+// built with thermal.NewModel outside the idle pool, that no other solve
+// has touched.
+func privateEvaluate(t *testing.T, sys *System, p Placement, opt Options) *Result {
+	t.Helper()
+	m, err := thermal.NewModel(sys.InterposerW, sys.InterposerH, opt.thermalOptions(sys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tres, err := m.Solve(placer.Sources(sys, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rres, err := route.Route(sys, p, opt.routeOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Result{Placement: p, PeakC: tres.PeakC, WirelengthMM: rres.TotalWirelengthMM, Thermal: tres, Routing: rres}
+}
+
+// sameFinal fails unless Place's final evaluation got equals a private
+// model's evaluation of the same placement, bit for bit.
 func sameFinal(t *testing.T, got, fresh *Result) {
 	t.Helper()
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	if !same(got.PeakC, fresh.PeakC) || !same(got.Thermal.AvgC, fresh.Thermal.AvgC) {
-		t.Errorf("Place gives peak %v / avg %v C, fresh Evaluate %v / %v C",
+		t.Errorf("Place gives peak %v / avg %v C, a private model %v / %v C",
 			got.PeakC, got.Thermal.AvgC, fresh.PeakC, fresh.Thermal.AvgC)
 	}
 	if got.Thermal.Iterations != fresh.Thermal.Iterations {
-		t.Errorf("Place's final solve took %d CG iterations, fresh Evaluate %d",
+		t.Errorf("Place's final solve took %d CG iterations, a private model %d",
 			got.Thermal.Iterations, fresh.Thermal.Iterations)
 	}
 	if !same(got.WirelengthMM, fresh.WirelengthMM) {
-		t.Errorf("Place gives %v mm, fresh Evaluate %v mm", got.WirelengthMM, fresh.WirelengthMM)
+		t.Errorf("Place gives %v mm, a private evaluation %v mm", got.WirelengthMM, fresh.WirelengthMM)
 	}
 	if len(got.Thermal.ChipTempC) != len(fresh.Thermal.ChipTempC) {
-		t.Fatalf("Place's field has %d cells, fresh Evaluate's %d", len(got.Thermal.ChipTempC), len(fresh.Thermal.ChipTempC))
+		t.Fatalf("Place's field has %d cells, a private model's %d", len(got.Thermal.ChipTempC), len(fresh.Thermal.ChipTempC))
 	}
 	for i, v := range got.Thermal.ChipTempC {
 		if !same(v, fresh.Thermal.ChipTempC[i]) {
-			t.Fatalf("cell %d: Place gives %v C, fresh Evaluate %v C", i, v, fresh.Thermal.ChipTempC[i])
+			t.Fatalf("cell %d: Place gives %v C, a private model %v C", i, v, fresh.Thermal.ChipTempC[i])
 		}
 	}
 }
 
-// TestPlaceFinalMatchesFreshEvaluate checks that Place, which finalizes on
-// the winning run's thermal model, reports exactly the field, iterations and
-// wirelength of a fresh Evaluate of its placement: on the Jacobi path, on
-// the multigrid path with parallel surrogate runs, on the two-block
-// grid-128 cycle, after a cancellation and after a resume.
+// TestPlaceFinalMatchesFreshEvaluate checks that Place, which anneals on
+// pooled models and finalizes on the winning run's, reports exactly the
+// field, iterations and wirelength of its placement evaluated on a private
+// thermal.NewModel (facade Evaluate takes a pooled model too): on the Jacobi
+// path, on the multigrid path with parallel surrogate runs, on the
+// two-block grid-128 cycle, after a cancellation and after a resume.
 func TestPlaceFinalMatchesFreshEvaluate(t *testing.T) {
 	check := func(t *testing.T, system string, opt Options, wantErr error) *Result {
 		t.Helper()
@@ -50,11 +75,7 @@ func TestPlaceFinalMatchesFreshEvaluate(t *testing.T) {
 		if !errors.Is(err, wantErr) {
 			t.Fatalf("Place error = %v, want %v", err, wantErr)
 		}
-		fresh, err := Evaluate(sys, got.Placement, Options{ThermalGrid: opt.ThermalGrid})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameFinal(t, got, fresh)
+		sameFinal(t, got, privateEvaluate(t, sys, got.Placement, Options{ThermalGrid: opt.ThermalGrid}))
 		return got
 	}
 

@@ -9,8 +9,10 @@ import (
 )
 
 // Seed corpora for both fuzzers are under testdata/fuzz/: a sealed service
-// job record, a sealed checkpoint, a legacy bare-JSON checkpoint and a
-// truncated sealed checkpoint.
+// job record, a sealed service lease file (another format, so
+// FuzzOpenSealedJSON rejects it as ErrCheckpointVersion), a sealed
+// checkpoint, a legacy bare-JSON checkpoint and a truncated sealed
+// checkpoint.
 
 // decodeErr fails t unless err is one of the two decode sentinels: every
 // rejected blob is either damaged bytes or an intact blob of another format.

@@ -80,7 +80,8 @@ type SystemEvaluator struct {
 }
 
 // NewSystemEvaluator builds an evaluator for sys with the given thermal and
-// routing options. The thermal model's counters are shared with the
+// routing options, on a thermal model taken from the idle pool
+// (thermal.Acquire). The thermal model's counters are shared with the
 // evaluator's own (topt.Counters is honored when set; otherwise one is
 // allocated), so Metrics reports solver and evaluation statistics together.
 func NewSystemEvaluator(sys *chiplet.System, topt thermal.Options, ropt route.Options) (*SystemEvaluator, error) {
@@ -92,7 +93,7 @@ func NewSystemEvaluator(sys *chiplet.System, topt thermal.Options, ropt route.Op
 		ctr = &metrics.Counters{}
 		topt.Counters = ctr
 	}
-	m, err := thermal.NewModel(sys.InterposerW, sys.InterposerH, topt)
+	m, err := thermal.Acquire(sys.InterposerW, sys.InterposerH, topt)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +340,8 @@ type Result struct {
 	// evaluators expose one (Thermal() *thermal.Model), nil otherwise, so a
 	// caller that solves Placement once more (tap25d's final evaluation)
 	// can reset it cold instead of building a new model; its hierarchy was
-	// last refreshed near Placement. It is never serialized.
+	// last refreshed near Placement. The caller owns it and may Release it.
+	// It is never serialized.
 	Model *thermal.Model `json:"-"`
 }
 
@@ -1076,7 +1078,9 @@ func leads(a *Result, ar int, b *Result, br int, criticalC float64) bool {
 // are indexed by run, so results are independent of scheduling order. The
 // returned Result's Metrics aggregates the counters of all runs, and its
 // Model is the winner's thermal model: of the finished runs only the best
-// so far keeps its model, so at most one model outlives its run.
+// so far keeps its model, and every other run's model goes back to the idle
+// pool (thermal.Model.Release) as soon as it loses, where the next run's
+// factory can take it, so at most one model outlives its run.
 //
 // When some runs fail or are interrupted and others finish, PlaceBestOf
 // degrades gracefully to best-of-successful: it returns the best of the
@@ -1118,6 +1122,10 @@ func PlaceBestOfContext(ctx context.Context, sys *chiplet.System, factory func()
 				errs[r] = err
 				return
 			}
+			var model *thermal.Model
+			if tm, ok := ev.(interface{ Thermal() *thermal.Model }); ok {
+				model = tm.Thermal()
+			}
 			ro := opt
 			ro.Seed = opt.Seed + int64(r)
 			ro.RunIndex = r
@@ -1125,22 +1133,19 @@ func PlaceBestOfContext(ctx context.Context, sys *chiplet.System, factory func()
 			if err != nil {
 				errs[r] = err
 			}
-			if res == nil {
-				return
+			if res != nil {
+				res.Run = r
+				mu.Lock()
+				results[r] = res
+				// The winner is the best result under Better, the lowest
+				// run index among equals, whatever order the runs finish
+				// in. A displaced leader's model is released below.
+				if lead < 0 || leads(res, r, results[lead], lead, opt.CriticalC) {
+					lead, leadModel, model = r, model, leadModel
+				}
+				mu.Unlock()
 			}
-			res.Run = r
-			var model *thermal.Model
-			if tm, ok := ev.(interface{ Thermal() *thermal.Model }); ok {
-				model = tm.Thermal()
-			}
-			mu.Lock()
-			results[r] = res
-			// The winner is the best result under Better, the lowest run
-			// index among equals, whatever order the runs finish in.
-			if lead < 0 || leads(res, r, results[lead], lead, opt.CriticalC) {
-				lead, leadModel = r, model
-			}
-			mu.Unlock()
+			model.Release()
 		}, "tap25d_run", strconv.Itoa(r))
 	}
 	var wg sync.WaitGroup

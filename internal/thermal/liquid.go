@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -50,8 +51,10 @@ const waterHeatCapacity = 4.18e6
 
 // SolveLiquid computes the steady-state field with a liquid cold plate in
 // place of the air heatsink. The returned Result is in the same format as
-// Solve (ambient remains the reporting reference).
-func (m *Model) SolveLiquid(sources []Source, lc LiquidCooling) (*Result, error) {
+// Solve (ambient remains the reporting reference). Every conduction solve
+// polls ctx and a canceled one returns ctx's error; an uncancelled solve
+// does not depend on ctx.
+func (m *Model) SolveLiquid(ctx context.Context, sources []Source, lc LiquidCooling) (*Result, error) {
 	lc = lc.withDefaults()
 	if lc.FlowLPM <= 0 || lc.HTC <= 0 {
 		return nil, fmt.Errorf("thermal: non-positive liquid cooling parameters")
@@ -89,7 +92,7 @@ func (m *Model) SolveLiquid(sources []Source, lc LiquidCooling) (*Result, error)
 			}
 		}
 		var err error
-		iters, err = sparse.SolveCG(a, t, rhs, sparse.CGOptions{Tol: cgTol, MaxIter: m.maxIter})
+		iters, err = sparse.SolveCGContext(ctx, a, t, rhs, sparse.CGOptions{Tol: cgTol, MaxIter: m.maxIter})
 		if err != nil {
 			return nil, fmt.Errorf("thermal: liquid solve: %w", err)
 		}

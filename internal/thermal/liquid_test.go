@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"context"
 	"testing"
 
 	"tap25d/internal/geom"
@@ -9,13 +10,13 @@ import (
 func TestLiquidValidation(t *testing.T) {
 	m := newTestModel(t, 8)
 	src := []Source{centeredSource(100)}
-	if _, err := m.SolveLiquid(src, LiquidCooling{FlowLPM: -1}); err == nil {
+	if _, err := m.SolveLiquid(context.Background(), src, LiquidCooling{FlowLPM: -1}); err == nil {
 		t.Error("negative flow accepted")
 	}
-	if _, err := m.SolveLiquid(src, LiquidCooling{HTC: -5}); err == nil {
+	if _, err := m.SolveLiquid(context.Background(), src, LiquidCooling{HTC: -5}); err == nil {
 		t.Error("negative HTC accepted")
 	}
-	if _, err := m.SolveLiquid([]Source{{Power: -1, Rect: geom.Rect{Center: geom.Point{X: 4, Y: 4}, W: 1, H: 1}}}, LiquidCooling{}); err == nil {
+	if _, err := m.SolveLiquid(context.Background(), []Source{{Power: -1, Rect: geom.Rect{Center: geom.Point{X: 4, Y: 4}, W: 1, H: 1}}}, LiquidCooling{}); err == nil {
 		t.Error("negative power accepted")
 	}
 }
@@ -32,7 +33,7 @@ func TestLiquidMuchCoolerThanAir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	liq, err := m.SolveLiquid(src, LiquidCooling{})
+	liq, err := m.SolveLiquid(context.Background(), src, LiquidCooling{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestLiquidOutletSideWarmer(t *testing.T) {
 	m := newTestModel(t, 16)
 	// High power and a gentle flow make the gradient visible.
 	src := []Source{centeredSource(400)}
-	res, err := m.SolveLiquid(src, LiquidCooling{FlowLPM: 0.2})
+	res, err := m.SolveLiquid(context.Background(), src, LiquidCooling{FlowLPM: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +74,11 @@ func TestLiquidOutletSideWarmer(t *testing.T) {
 func TestLiquidMoreFlowIsCooler(t *testing.T) {
 	m := newTestModel(t, 12)
 	src := []Source{centeredSource(300)}
-	slow, err := m.SolveLiquid(src, LiquidCooling{FlowLPM: 0.1})
+	slow, err := m.SolveLiquid(context.Background(), src, LiquidCooling{FlowLPM: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := m.SolveLiquid(src, LiquidCooling{FlowLPM: 2})
+	fast, err := m.SolveLiquid(context.Background(), src, LiquidCooling{FlowLPM: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestLiquidDoesNotCorruptAirSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SolveLiquid(src, LiquidCooling{}); err != nil {
+	if _, err := m.SolveLiquid(context.Background(), src, LiquidCooling{}); err != nil {
 		t.Fatal(err)
 	}
 	again, err := m.Solve(src)

@@ -195,7 +195,7 @@ func TestResetColdMatchesNewModel(t *testing.T) {
 			}
 
 			var ctr metrics.Counters
-			m.ResetCold(&ctr)
+			m.ResetCold(&ctr, nil, nil)
 			bad := append([]Source{{Rect: best[0].Rect, Power: -1}}, best[1:]...)
 			if _, err := m.Solve(bad); err == nil {
 				t.Fatal("solve with a negative power succeeded")

@@ -19,6 +19,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 
 	"tap25d/internal/faultinject"
 	"tap25d/internal/geom"
@@ -82,12 +84,11 @@ type Options struct {
 
 // Model evaluates placements on a fixed interposer. A Model is reusable but
 // not safe for concurrent use (it keeps scratch buffers and a warm-start
-// temperature field).
+// temperature field). A model from Acquire goes back to the process-wide
+// idle pool with Release once its owner is done with it.
 type Model struct {
-	widthMM, heightMM float64
-	grid              int
-	stack             material.Stack
-	maxIter           int // Jacobi CG iteration budget, maxIterPerGrid·grid
+	modelKey     // construction: dimensions, grid, stack, switches; immutable
+	maxIter  int // Jacobi CG iteration budget, maxIterPerGrid·grid
 
 	nDevLayers int // device layers (from stack)
 	chipLayer  int // index of heterogeneous power layer
@@ -117,7 +118,6 @@ type Model struct {
 	// Incremental fast-path state (see incremental.go). fixed == nil means
 	// the next Solve assembles from scratch and freezes the pattern;
 	// rebuild means it rewrites every value in the frozen pattern (ResetCold).
-	noInc                                bool
 	rebuild                              bool
 	fixed                                *sparse.Fixed
 	cg                                   *sparse.CGSolver
@@ -130,9 +130,9 @@ type Model struct {
 	slotEpoch                            []int32 // last epoch each CSR value slot was refreshed
 	dirtyCells, changedCells, dirtySlots []int32
 
-	// Preconditioner selection (Options.Precond, resolved): precondJacobi
-	// or precondMG. The multigrid hierarchy is built lazily on the first
-	// mg-preconditioned solve (for a Jacobi model, on the first
+	// The preconditioner is modelKey.precond (Options.Precond resolved to
+	// precondJacobi or precondMG). The multigrid hierarchy is built lazily
+	// on the first mg-preconditioned solve (for a Jacobi model, on the first
 	// recovery-ladder escalation) and rebuilt only when the assembled
 	// matrix identity changes; valGen counts value-changing
 	// assemblies and the hierarchy is numerically re-coarsened whenever it
@@ -146,16 +146,18 @@ type Model struct {
 	// fine values, so the generation is the only staleness signal needed:
 	// re-coarsening at an unchanged generation would rebuild the same
 	// hierarchy bit for bit.
-	precond string
-	mg      *sparse.Multigrid
-	mgA     *sparse.CSR
-	valGen  int64
-	mgGen   int64
+	mg     *sparse.Multigrid
+	mgA    *sparse.CSR
+	valGen int64
+	mgGen  int64
 
-	ctr       *metrics.Counters
-	obs       *obs.Observer
-	noRecover bool
-	inject    *faultinject.Injector
+	ctr    *metrics.Counters
+	obs    *obs.Observer
+	inject *faultinject.Injector
+
+	// failed records that the last steady-state solve returned an error;
+	// Release drops such a model. idle marks a model held by the pool.
+	failed, idle bool
 }
 
 // Preconditioner names (Options.Precond values; empty means precondMG).
@@ -191,53 +193,88 @@ func withMG(opt sparse.CGOptions, mg *sparse.Multigrid) sparse.CGOptions {
 	return opt
 }
 
-// NewModel builds a model for an interposer of the given dimensions (mm).
-func NewModel(widthMM, heightMM float64, opt Options) (*Model, error) {
-	if widthMM <= 0 || heightMM <= 0 {
-		return nil, fmt.Errorf("thermal: non-positive interposer dimensions %g x %g", widthMM, heightMM)
-	}
-	grid := opt.Grid
-	if grid == 0 {
-		grid = 64
-	}
-	if grid < 2 {
-		return nil, fmt.Errorf("thermal: grid resolution %d too small", grid)
-	}
-	var stack material.Stack
-	if opt.Stack != nil {
-		stack = *opt.Stack
-	} else {
-		stack = material.DefaultStack()
-	}
-	if err := stack.Validate(); err != nil {
-		return nil, err
-	}
-	chip := stack.ChipletLayerIndex()
-	if chip < 0 {
-		return nil, fmt.Errorf("thermal: stack has no chiplet power layer")
-	}
+// modelKey is what a model's construction reads of its options, normalized
+// (the default grid and stack filled in, the preconditioner resolved): two
+// models with equal keys are built alike, whatever Counters, Obs and Inject
+// they were given. It keys the idle-model pool (pool.go).
+type modelKey struct {
+	widthMM, heightMM float64
+	grid              int
+	stack             material.Stack
+	precond           string
+	noInc, noRecover  bool
+}
 
-	m := &Model{
-		widthMM:    widthMM,
-		heightMM:   heightMM,
-		grid:       grid,
-		stack:      stack,
-		maxIter:    maxIterPerGrid * grid,
-		nDevLayers: len(stack.Layers),
-		chipLayer:  chip,
+// newModelKey validates and normalizes NewModel's arguments. The stack's
+// layers are copied, so a caller that edits its stack afterwards changes
+// neither the model nor its key.
+func newModelKey(widthMM, heightMM float64, opt Options) (modelKey, error) {
+	k := modelKey{widthMM: widthMM, heightMM: heightMM, grid: opt.Grid,
+		noInc: opt.DisableIncremental, noRecover: opt.DisableRecovery}
+	if widthMM <= 0 || heightMM <= 0 {
+		return k, fmt.Errorf("thermal: non-positive interposer dimensions %g x %g", widthMM, heightMM)
+	}
+	if k.grid == 0 {
+		k.grid = 64
+	}
+	if k.grid < 2 {
+		return k, fmt.Errorf("thermal: grid resolution %d too small", k.grid)
+	}
+	if opt.Stack != nil {
+		k.stack = *opt.Stack
+		k.stack.Layers = slices.Clone(k.stack.Layers)
+	} else {
+		k.stack = material.DefaultStack()
+	}
+	if err := k.stack.Validate(); err != nil {
+		return k, err
+	}
+	if k.stack.ChipletLayerIndex() < 0 {
+		return k, fmt.Errorf("thermal: stack has no chiplet power layer")
 	}
 	switch opt.Precond {
 	case "", precondMG:
-		m.precond = precondMG
+		k.precond = precondMG
 	case precondJacobi:
-		m.precond = precondJacobi
+		k.precond = precondJacobi
 	default:
-		return nil, fmt.Errorf("thermal: unknown preconditioner %q (want jacobi or mg, or empty for mg)", opt.Precond)
+		return k, fmt.Errorf("thermal: unknown preconditioner %q (want jacobi or mg, or empty for mg)", opt.Precond)
+	}
+	return k, nil
+}
+
+// equal reports whether k and o build alike; the stack compares by value.
+func (k *modelKey) equal(o *modelKey) bool {
+	return k.widthMM == o.widthMM && k.heightMM == o.heightMM && k.grid == o.grid &&
+		k.precond == o.precond && k.noInc == o.noInc && k.noRecover == o.noRecover &&
+		reflect.DeepEqual(k.stack, o.stack)
+}
+
+// NewModel builds a model for an interposer of the given dimensions (mm).
+// Acquire returns an idle model of the same construction from the pool
+// when there is one.
+func NewModel(widthMM, heightMM float64, opt Options) (*Model, error) {
+	k, err := newModelKey(widthMM, heightMM, opt)
+	if err != nil {
+		return nil, err
+	}
+	return newModel(k, opt), nil
+}
+
+// newModel builds a model for the validated key k, counting into opt's
+// Counters, Obs and Inject.
+func newModel(k modelKey, opt Options) *Model {
+	grid, stack := k.grid, k.stack
+	m := &Model{
+		modelKey:   k,
+		maxIter:    maxIterPerGrid * grid,
+		nDevLayers: len(stack.Layers),
+		chipLayer:  stack.ChipletLayerIndex(),
 	}
 	g2 := grid * grid
 	m.nNodes = (m.nDevLayers + 2) * g2 // +spreader +sink
 
-	wm, hm := widthMM*1e-3, heightMM*1e-3
+	wm, hm := k.widthMM*1e-3, k.heightMM*1e-3
 	m.cellW, m.cellH = wm/float64(grid), hm/float64(grid)
 
 	m.sprEdgeW = wm * stack.SpreaderEdgeFactor
@@ -256,12 +293,10 @@ func NewModel(widthMM, heightMM float64, opt Options) (*Model, error) {
 	m.kChip = make([]float64, g2)
 	m.power = make([]float64, m.nNodes)
 	m.temps = make([]float64, m.nNodes)
-	m.noInc = opt.DisableIncremental
 	m.ctr = opt.Counters
 	m.obs = opt.Obs
-	m.noRecover = opt.DisableRecovery
 	m.inject = opt.Inject
-	return m, nil
+	return m
 }
 
 // Grid returns the model's per-axis grid resolution.
@@ -435,6 +470,7 @@ func (m *Model) SolveContext(ctx context.Context, sources []Source) (*Result, er
 	sp := m.obs.StartSpanCtx(ctx, obs.PhaseThermalSolve, "")
 	res, err := m.solveSpanned(ctx, sp, sources)
 	sp.End()
+	m.failed = err != nil
 	return res, err
 }
 
@@ -591,19 +627,21 @@ func (m *Model) ensureMG(sp *obs.Span, a *sparse.CSR) (*sparse.Multigrid, error)
 }
 
 // ResetCold returns the model to the state of a new model built with the
-// same options, keeping its allocations, and redirects its solve and
-// assembly statistics to c (nil stops counting), so a caller that takes over
-// a model from another owner counts its own solves apart from the counts
-// already reported. The next solve starts from the cold guess, rewrites
-// every matrix value over the whole grid in the frozen pattern (one full
-// assembly) and re-coarsens the multigrid hierarchy numerically (one
-// set-up): it equals a new model's first solve in bits and in counters,
-// without a second matrix or hierarchy.
-func (m *Model) ResetCold(c *metrics.Counters) {
-	m.ctr = c
+// same construction options, keeping its allocations, and redirects its
+// solve and assembly statistics to c, its spans to o and its fault points to
+// inj (nil turns each off), so a caller that takes over a model from another
+// owner counts its own solves apart from the counts already reported. The
+// next solve starts from the cold guess, rewrites every matrix value over
+// the whole grid in the frozen pattern (one full assembly) and re-coarsens
+// the multigrid hierarchy numerically (one set-up): it equals a new model's
+// first solve in bits and in counters, without a second matrix or
+// hierarchy.
+func (m *Model) ResetCold(c *metrics.Counters, o *obs.Observer, inj *faultinject.Injector) {
+	m.ctr, m.obs, m.inject = c, o, inj
 	m.warm = false
-	m.warmGood = nil
+	m.warmGood = m.warmGood[:0]
 	m.rebuild = m.fixed != nil
+	m.failed = false
 }
 
 // addMGCycles records d V-cycles applied by the multigrid hierarchy.
@@ -627,7 +665,7 @@ func (m *Model) addMGCycles(d int64) {
 // interruption still restores the warm start the interrupted step would
 // have used.
 func (m *Model) WarmState() []float64 {
-	if m.warmGood == nil {
+	if len(m.warmGood) == 0 {
 		return nil
 	}
 	s := make([]float64, len(m.warmGood))
@@ -641,7 +679,7 @@ func (m *Model) WarmState() []float64 {
 func (m *Model) RestoreWarmState(temps []float64) error {
 	if len(temps) == 0 {
 		m.warm = false
-		m.warmGood = nil
+		m.warmGood = m.warmGood[:0]
 		return nil
 	}
 	if len(temps) != m.nNodes {

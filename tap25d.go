@@ -453,23 +453,25 @@ func (o Options) critical() float64 {
 
 // finalize evaluates placement p at full fidelity and assembles a Result.
 // It solves on model, a model built from opt.thermalOptions(sys) by an
-// earlier owner, or on a new one when model is nil. A reused model is reset
-// cold: its solve rewrites the whole matrix in place and starts from the
-// cold guess, so field and counters are those a fresh model gives, and they
+// earlier owner, or on one from the idle pool when model is nil, and hands
+// the model back to the pool after the solve. A model is reset cold before
+// the solve: it rewrites the whole matrix in place and starts from the cold
+// guess, so field and counters are those a fresh model gives, and they
 // count in this Result's Metrics, not its old owner's.
 func finalize(sys *System, p Placement, opt Options, model *thermal.Model) (*Result, error) {
 	var ctr EvalCounters
+	topt := opt.thermalOptions(sys)
+	topt.Counters = &ctr
 	if model == nil {
-		topt := opt.thermalOptions(sys)
-		topt.Counters = &ctr
 		var err error
-		if model, err = thermal.NewModel(sys.InterposerW, sys.InterposerH, topt); err != nil {
+		if model, err = thermal.Acquire(sys.InterposerW, sys.InterposerH, topt); err != nil {
 			return nil, err
 		}
 	} else {
-		model.ResetCold(&ctr)
+		model.ResetCold(topt.Counters, topt.Obs, topt.Inject)
 	}
 	tres, err := model.Solve(placer.Sources(sys, p))
+	model.Release()
 	if err != nil {
 		return nil, err
 	}
@@ -546,8 +548,10 @@ func Place(sys *System, opt Options) (*Result, error) {
 	if pres == nil {
 		return nil, perr
 	}
-	// The winner's model finishes the flow, so the flow holds one model
-	// after its runs; finalize's Result keeps no reference to it.
+	// The runs that lost are back in the idle pool; the winner's model
+	// finishes the flow and goes back last, so the next Acquire of this
+	// construction (a corner screen of the placement) takes the model whose
+	// last solve was this placement.
 	res, err := finalize(sys, pres.Placement, opt, pres.Model)
 	if err != nil {
 		return nil, err
@@ -617,10 +621,14 @@ func InterposerCostRatio(aW, aH, bW, bH float64) float64 {
 // scaling the chiplets in vary (nil scales all). This is the paper's
 // Section IV-B analysis.
 func TDPEnvelope(sys *System, p Placement, vary []int, opt Options) (*TDPResult, error) {
-	model, err := thermal.NewModel(sys.InterposerW, sys.InterposerH, opt.thermalOptions(sys))
+	if err := sys.Validate(); err != nil {
+		return nil, err
+	}
+	model, err := thermal.Acquire(sys.InterposerW, sys.InterposerH, opt.thermalOptions(sys))
 	if err != nil {
 		return nil, err
 	}
+	defer model.Release()
 	return tdp.Envelope(sys, p, model, tdp.Options{
 		CriticalC:   opt.critical(),
 		VaryIndices: vary,
@@ -638,6 +646,10 @@ func TDPEnvelope(sys *System, p Placement, vary []int, opt Options) (*TDPResult,
 // power, which would stop CG at a different iterate). Scales must be finite
 // and non-negative. This is the entry the best-of-N flows and service jobs
 // use for power-corner screening; honor Options.Context for cancellation.
+// The solve runs on a model from the idle pool (thermal.Acquire): right
+// after Place with the same ThermalGrid, that is the model whose last solve
+// was Place's final evaluation, so the screen builds no model, matrix or
+// hierarchy, and its field is still that of a fresh model.
 func EvaluateScenarios(sys *System, p Placement, powerScales []float64, opt Options) ([]*ThermalResult, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
@@ -645,10 +657,11 @@ func EvaluateScenarios(sys *System, p Placement, powerScales []float64, opt Opti
 	if err := sys.CheckPlacement(p); err != nil {
 		return nil, err
 	}
-	model, err := thermal.NewModel(sys.InterposerW, sys.InterposerH, opt.thermalOptions(sys))
+	model, err := thermal.Acquire(sys.InterposerW, sys.InterposerH, opt.thermalOptions(sys))
 	if err != nil {
 		return nil, err
 	}
+	defer model.Release()
 	return model.SolveScaled(opt.context(), placer.Sources(sys, p), powerScales)
 }
 
@@ -656,6 +669,7 @@ func EvaluateScenarios(sys *System, p Placement, powerScales []float64, opt Opti
 // instead of the forced-air heatsink: the paper's introduction frames this
 // as the expensive alternative to thermally-aware placement, and this
 // function lets the two be compared directly (experiment E12).
+// Options.Context cancels the conduction solves.
 func EvaluateLiquid(sys *System, p Placement, lc LiquidCooling, opt Options) (*Result, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
@@ -667,7 +681,8 @@ func EvaluateLiquid(sys *System, p Placement, lc LiquidCooling, opt Options) (*R
 	if err != nil {
 		return nil, err
 	}
-	tres, err := model.SolveLiquid(placer.Sources(sys, p), lc)
+	ctx := opt.context()
+	tres, err := model.SolveLiquid(ctx, placer.Sources(sys, p), lc)
 	if err != nil {
 		return nil, err
 	}
@@ -675,7 +690,7 @@ func EvaluateLiquid(sys *System, p Placement, lc LiquidCooling, opt Options) (*R
 	if opt.ExactRouting {
 		ropt.Method = route.MethodMILP
 	}
-	rres, err := route.Route(sys, p, ropt)
+	rres, err := route.RouteContext(ctx, sys, p, ropt)
 	if err != nil {
 		return nil, wrapRouteErr(err)
 	}
