@@ -19,8 +19,11 @@ import (
 // grid 128, whose placement is then screened at eight power corners: one
 // cold solve on a fresh model (a hierarchy whose coarse patterns and
 // Galerkin rows were built on parallel workers) plus one scaling per
-// corner. Observability only watches,
-// so the reduced E1 must also print the same with an observer attached.
+// corner. The CPU-DRAM original placement's power-on transient (every step
+// peak) and liquid-cooled solve run on the same multigrid path at grid 64,
+// whose 32768-row matrix takes the parallel products. Observability only
+// watches, so the reduced E1 must also print the same with an observer
+// attached.
 func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	old := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
@@ -59,6 +62,21 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 				out += fmt.Sprintf("  corner %v: %v C, %d iterations\n", scales[c], f.PeakC, f.Iterations)
 			}
 			return out + fmt.Sprintf("  corner counters: %v\n", o.Report().Extra), nil
+		}},
+		{"transient grid 64", func() (string, error) {
+			tr, err := tap25d.Transient(systems.CPUDRAM(), systems.CPUDRAMOriginal(), 0.1, 30, tap25d.Options{ThermalGrid: 64})
+			if err != nil {
+				return "", err
+			}
+			t85, ok := tr.TimeToThresholdS(85)
+			return fmt.Sprintf("%v\n  steady %v C, 85 C at %v s (%v)\n", tr.PeakC, tr.SteadyPeakC, t85, ok), nil
+		}},
+		{"liquid grid 64", func() (string, error) {
+			res, err := tap25d.EvaluateLiquid(systems.CPUDRAM(), systems.CPUDRAMOriginal(), tap25d.LiquidCooling{}, tap25d.Options{ThermalGrid: 64})
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("%v C, %d iterations\n", res.PeakC, res.Thermal.Iterations), nil
 		}},
 	} {
 		var want string

@@ -45,8 +45,9 @@ const (
 	// PhaseInitialPlacement covers the Compact-2.5D initial placement and
 	// its first evaluation, once per run.
 	PhaseInitialPlacement
-	// PhaseThermalSolve covers one steady-state thermal solve end to end
-	// (assembly included).
+	// PhaseThermalSolve covers one thermal solve end to end (assembly
+	// included): a steady solve, or a whole batch, transient or liquid
+	// solve, labeled "batch", "transient" or "liquid".
 	PhaseThermalSolve
 	// PhaseThermalAssemble covers the conductance-matrix work of one solve:
 	// full rebuild, delta update, or the (near-free) skipped case.

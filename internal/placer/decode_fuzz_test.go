@@ -4,15 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
 
-// Seed corpora for both fuzzers are under testdata/fuzz/: a sealed service
+// Seed corpora for the fuzzers are under testdata/fuzz/: a sealed service
 // job record, a sealed service lease file (another format, so
 // FuzzOpenSealedJSON rejects it as ErrCheckpointVersion), a sealed
-// checkpoint, a legacy bare-JSON checkpoint and a truncated sealed
-// checkpoint.
+// checkpoint, a legacy bare-JSON checkpoint, a truncated sealed checkpoint
+// and, as a newest generation for FuzzLoadCheckpointFallback, an empty file.
 
 // decodeErr fails t unless err is one of the two decode sentinels: every
 // rejected blob is either damaged bytes or an intact blob of another format.
@@ -86,6 +88,54 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s round trip changed the checkpoint:\n%s\nwant\n%s", name, got, want)
 			}
+		}
+	})
+}
+
+// FuzzLoadCheckpointFallback writes arbitrary bytes as the newest checkpoint
+// generation next to a valid sealed previous one and loads the pair. It must
+// not panic or hang; a newest file that decodes is returned as decoded,
+// without fallback; any other newest file is replaced by the previous
+// generation, with fallback and no error.
+func FuzzLoadCheckpointFallback(f *testing.F) {
+	prev := &Checkpoint{Version: CheckpointVersion, Label: "previous generation", Step: 7, K: 0.5}
+	prevBlob, err := sealCheckpoint(prev)
+	if err != nil {
+		f.Fatal(err)
+	}
+	prevJSON, err := json.Marshal(prev)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		if err := os.WriteFile(PrevCheckpointPath(path), prevBlob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, fallback, err := LoadCheckpointFallback(path)
+		if err != nil {
+			t.Fatalf("load with a valid previous generation failed: %v", err)
+		}
+		want := prevJSON
+		if newest, derr := DecodeCheckpoint(bytes.NewReader(blob)); derr == nil {
+			if fallback {
+				t.Fatal("a newest file that decodes fell back to the previous generation")
+			}
+			if want, err = json.Marshal(newest); err != nil {
+				t.Fatal(err)
+			}
+		} else if !fallback {
+			t.Fatalf("a newest file that does not decode (%v) was returned without fallback", derr)
+		}
+		got, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("loaded checkpoint\n%s\nwant\n%s", got, want)
 		}
 	})
 }

@@ -82,7 +82,7 @@ func (m *CSR) MulVecParallel(y, x []float64, workers int) {
 // times on a matrix whose pattern never changes: the solver allocates its
 // scratch vectors (residual, preconditioned residual, search direction, A·p
 // product, inverse diagonal) once, and locates the diagonal value slots
-// once, instead of re-deriving all of them on every SolveCG call. Values of
+// once, instead of re-deriving all of them on every solve. Values of
 // the bound matrix may change freely between Solve calls (the Jacobi
 // diagonal is re-read each time); the pattern must not.
 //
@@ -188,11 +188,12 @@ func (s *CGSolver) mulVecDot(y, x, w []float64) float64 {
 	return d
 }
 
-// Solve solves A·x = b with x as the warm-start initial guess, overwriting x
-// with the solution and returning the iteration count. The arithmetic —
-// preconditioning, update order, convergence checks — reproduces SolveCG
-// exactly, so a reused CGSolver returns bit-identical solutions; only the
-// scratch allocations and diagonal extraction are hoisted out of the call.
+// Solve solves A·x = b for symmetric positive-definite A with preconditioned
+// conjugate gradients (Jacobi unless opt.Precond is set), using x as the
+// warm-start initial guess, overwriting it with the solution and returning
+// the iteration count. A reused CGSolver returns the same bits as a new
+// one; only the scratch allocations and diagonal extraction are hoisted out
+// of the call.
 func (s *CGSolver) Solve(x, b []float64, opt CGOptions) (int, error) {
 	return s.SolveContext(context.Background(), x, b, opt)
 }
@@ -209,7 +210,7 @@ func (s *CGSolver) SolveContext(ctx context.Context, x, b []float64, opt CGOptio
 	a := s.a
 	n := a.N
 	if len(x) != n || len(b) != n {
-		return 0, fmt.Errorf("sparse: SolveCG dimension mismatch: n=%d len(x)=%d len(b)=%d", n, len(x), len(b))
+		return 0, fmt.Errorf("sparse: CG dimension mismatch: n=%d len(x)=%d len(b)=%d", n, len(x), len(b))
 	}
 	if err := opt.Inject.Hit(faultinject.PointCGSolve); err != nil {
 		// An injected fault presents exactly like exhausting the iteration

@@ -86,16 +86,6 @@ func TestSolveCGContextUncanceledBitIdentical(t *testing.T) {
 	}
 }
 
-func TestSolveCGContextFreeFunction(t *testing.T) {
-	a, rhs := chainSystem(64)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	x := make([]float64, a.N)
-	if _, err := SolveCGContext(ctx, a, x, rhs, CGOptions{Tol: 1e-13}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveCGContext error = %v, want context.Canceled", err)
-	}
-}
-
 func TestCGInjectedFaultMatchesNoConvergence(t *testing.T) {
 	a, bvec := chainSystem(64)
 	n := a.N
@@ -105,13 +95,13 @@ func TestCGInjectedFaultMatchesNoConvergence(t *testing.T) {
 	x := make([]float64, n)
 	opt := CGOptions{Inject: inj}
 	// First solve passes through untouched.
-	if _, err := SolveCG(a, x, bvec, opt); err != nil {
+	if _, err := NewCGSolver(a).Solve(x, bvec, opt); err != nil {
 		t.Fatalf("first solve: %v", err)
 	}
 	// Second solve hits the armed point; the error must look like a real
 	// non-convergence AND be identifiable as injected.
 	x2 := make([]float64, n)
-	_, err := SolveCG(a, x2, bvec, opt)
+	_, err := NewCGSolver(a).Solve(x2, bvec, opt)
 	if err == nil {
 		t.Fatal("armed injector did not fire")
 	}
@@ -123,7 +113,7 @@ func TestCGInjectedFaultMatchesNoConvergence(t *testing.T) {
 	}
 	// Third solve passes again (At fires exactly once).
 	x3 := make([]float64, n)
-	if _, err := SolveCG(a, x3, bvec, opt); err != nil {
+	if _, err := NewCGSolver(a).Solve(x3, bvec, opt); err != nil {
 		t.Fatalf("third solve: %v", err)
 	}
 }

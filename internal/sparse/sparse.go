@@ -8,7 +8,6 @@ package sparse
 
 import (
 	"cmp"
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -251,8 +250,8 @@ type CGOptions struct {
 	// already computes, so it cannot perturb the arithmetic; when nil the
 	// only cost is one pointer test per iteration.
 	OnIteration func(iter int, residual float64)
-	// Precond, when non-nil, replaces the built-in Jacobi preconditioner in
-	// CGSolver.SolveContext / SolveCG / SolveCGContext.
+	// Precond, when non-nil, replaces the built-in Jacobi preconditioner of
+	// CGSolver.Solve and SolveContext.
 	// A nil Precond selects Jacobi (M = diag(A), re-read from the matrix on
 	// every solve). Both run the same CG loop; only the Apply differs.
 	Precond Preconditioner
@@ -261,25 +260,6 @@ type CGOptions struct {
 	// faultinject.ErrInjected, exercising the thermal recovery ladder
 	// deterministically in tests. A nil Injector costs one pointer test.
 	Inject *faultinject.Injector
-}
-
-// SolveCG solves A·x = b for symmetric positive-definite A using
-// preconditioned conjugate gradients (Jacobi unless opt.Precond is set). x
-// is used as the initial guess (a warm start from the previous SA step speeds
-// the placer up considerably) and is overwritten with the solution. It
-// returns the iteration count.
-//
-// SolveCG sets up a fresh CGSolver per call; callers solving repeatedly
-// against one matrix should hold a CGSolver to reuse its scratch buffers and
-// diagonal index map.
-func SolveCG(a *CSR, x, b []float64, opt CGOptions) (int, error) {
-	return NewCGSolver(a).Solve(x, b, opt)
-}
-
-// SolveCGContext is SolveCG with cooperative cancellation; see
-// CGSolver.SolveContext for the polling contract.
-func SolveCGContext(ctx context.Context, a *CSR, x, b []float64, opt CGOptions) (int, error) {
-	return NewCGSolver(a).SolveContext(ctx, x, b, opt)
 }
 
 // SolveGaussSeidel performs symmetric Gauss-Seidel sweeps on A·x = b until the

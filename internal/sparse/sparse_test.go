@@ -126,7 +126,7 @@ func TestSolveCGRecoversSolution(t *testing.T) {
 		rhs := make([]float64, n)
 		a.MulVec(rhs, want)
 		got := make([]float64, n)
-		if _, err := SolveCG(a, got, rhs, CGOptions{Tol: 1e-10}); err != nil {
+		if _, err := NewCGSolver(a).Solve(got, rhs, CGOptions{Tol: 1e-10}); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for i := range want {
@@ -144,14 +144,14 @@ func TestSolveCGWarmStart(t *testing.T) {
 	a.MulVec(rhs, want)
 
 	cold := make([]float64, 200)
-	itCold, err := SolveCG(a, cold, rhs, CGOptions{Tol: 1e-10})
+	itCold, err := NewCGSolver(a).Solve(cold, rhs, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm start from the exact solution should converge immediately.
 	warm := make([]float64, 200)
 	copy(warm, want)
-	itWarm, err := SolveCG(a, warm, rhs, CGOptions{Tol: 1e-10})
+	itWarm, err := NewCGSolver(a).Solve(warm, rhs, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestSolveCGZeroRHS(t *testing.T) {
 	for i := range x {
 		x[i] = 5
 	}
-	it, err := SolveCG(a, x, make([]float64, 10), CGOptions{})
+	it, err := NewCGSolver(a).Solve(x, make([]float64, 10), CGOptions{})
 	if err != nil || it != 0 {
 		t.Fatalf("zero RHS: it=%d err=%v", it, err)
 	}
@@ -179,7 +179,7 @@ func TestSolveCGZeroRHS(t *testing.T) {
 
 func TestSolveCGDimensionMismatch(t *testing.T) {
 	a := laplacian1D(4, 1)
-	if _, err := SolveCG(a, make([]float64, 3), make([]float64, 4), CGOptions{}); err == nil {
+	if _, err := NewCGSolver(a).Solve(make([]float64, 3), make([]float64, 4), CGOptions{}); err == nil {
 		t.Error("expected dimension mismatch error")
 	}
 }
@@ -189,7 +189,7 @@ func TestSolveCGRejectsNonSPD(t *testing.T) {
 	b.Add(0, 0, -1)
 	b.Add(1, 1, 1)
 	a := b.Build()
-	if _, err := SolveCG(a, make([]float64, 2), []float64{1, 1}, CGOptions{}); err == nil {
+	if _, err := NewCGSolver(a).Solve(make([]float64, 2), []float64{1, 1}, CGOptions{}); err == nil {
 		t.Error("expected non-SPD error")
 	}
 }
@@ -198,7 +198,7 @@ func TestSolveCGNoConvergence(t *testing.T) {
 	a := laplacian1D(50, 1e-9) // nearly singular
 	rhs := make([]float64, 50)
 	rhs[25] = 1
-	_, err := SolveCG(a, make([]float64, 50), rhs, CGOptions{Tol: 1e-14, MaxIter: 2})
+	_, err := NewCGSolver(a).Solve(make([]float64, 50), rhs, CGOptions{Tol: 1e-14, MaxIter: 2})
 	if err != ErrNoConvergence {
 		t.Errorf("err = %v, want ErrNoConvergence", err)
 	}
@@ -211,7 +211,7 @@ func TestGaussSeidelAgreesWithCG(t *testing.T) {
 	a.MulVec(rhs, want)
 
 	xc := make([]float64, 80)
-	if _, err := SolveCG(a, xc, rhs, CGOptions{Tol: 1e-10}); err != nil {
+	if _, err := NewCGSolver(a).Solve(xc, rhs, CGOptions{Tol: 1e-10}); err != nil {
 		t.Fatal(err)
 	}
 	xg := make([]float64, 80)
@@ -274,7 +274,7 @@ func BenchmarkCG2DGrid64(b *testing.B) {
 		for j := range x {
 			x[j] = 0
 		}
-		if _, err := SolveCG(a, x, rhs, CGOptions{Tol: 1e-8}); err != nil {
+		if _, err := NewCGSolver(a).Solve(x, rhs, CGOptions{Tol: 1e-8}); err != nil {
 			b.Fatal(err)
 		}
 	}

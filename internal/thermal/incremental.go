@@ -110,9 +110,9 @@ func (m *Model) initIncremental(sources []Source) error {
 	m.assembleFull(true)
 	m.fixed = m.builder.BuildFixed()
 	// The delta path never reads the coordinate list again; drop it rather
-	// than pin 16 bytes per entry for the model's lifetime. The
-	// full-assembly paths (DisableIncremental, transient, liquid) regrow it
-	// on demand.
+	// than pin 16 bytes per entry for the model's lifetime. The transient
+	// and liquid solves, which assemble their own matrices, regrow it on
+	// demand.
 	m.builder = sparse.NewBuilder(m.nNodes)
 	m.cg = sparse.NewCGSolver(m.fixed.Mat)
 	m.buildCellDeps()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"tap25d/internal/obs"
 	"tap25d/internal/sparse"
 )
 
@@ -51,14 +52,18 @@ const waterHeatCapacity = 4.18e6
 
 // SolveLiquid computes the steady-state field with a liquid cold plate in
 // place of the air heatsink. The returned Result is in the same format as
-// Solve (ambient remains the reporting reference). Every conduction solve
+// Solve (ambient remains the reporting reference). Every conduction solve is
+// one solve on the model's path (its preconditioner, recovery ladder,
+// counters and observer), under one thermal_solve span labeled liquid. Each
 // polls ctx and a canceled one returns ctx's error; an uncancelled solve
 // does not depend on ctx.
-func (m *Model) SolveLiquid(ctx context.Context, sources []Source, lc LiquidCooling) (*Result, error) {
+func (m *Model) SolveLiquid(ctx context.Context, sources []Source, lc LiquidCooling) (res *Result, err error) {
 	lc = lc.withDefaults()
 	if lc.FlowLPM <= 0 || lc.HTC <= 0 {
 		return nil, fmt.Errorf("thermal: non-positive liquid cooling parameters")
 	}
+	sp := m.obs.StartSpanCtx(ctx, obs.PhaseThermalSolve, "liquid")
+	defer func() { sp.End(); m.failed = err != nil }()
 	m.invalidateIncremental() // overwrites the fields the fixed matrix is keyed on
 	if err := m.rasterize(sources); err != nil {
 		return nil, err
@@ -69,6 +74,7 @@ func (m *Model) SolveLiquid(ctx context.Context, sources []Source, lc LiquidCool
 	// convection with the cold-plate HTC per cell.
 	m.assembleLiquid(lc)
 	a := m.builder.Build()
+	cg := sparse.NewCGSolver(a)
 
 	// Coolant temperature per sink column (flow left to right): fixed-point
 	// iteration between the conduction solve and the coolant energy balance.
@@ -91,8 +97,7 @@ func (m *Model) SolveLiquid(ctx context.Context, sources []Source, lc LiquidCool
 				rhs[m.sinkNode(i, j)] += gCell * (inletRise + coolRise[j])
 			}
 		}
-		var err error
-		iters, err = sparse.SolveCGContext(ctx, a, t, rhs, sparse.CGOptions{Tol: cgTol, MaxIter: m.maxIter})
+		iters, _, err = m.solve(ctx, sp, a, cg, t, rhs, !m.noRecover)
 		if err != nil {
 			return nil, fmt.Errorf("thermal: liquid solve: %w", err)
 		}
@@ -120,7 +125,7 @@ func (m *Model) SolveLiquid(ctx context.Context, sources []Source, lc LiquidCool
 			break
 		}
 	}
-	m.warm = false // liquid scratch state must not warm-start air solves
+	m.warm = false // the next air solve starts cold, as on a new model
 
 	return m.buildResult(t, 1, iters)
 }

@@ -362,9 +362,9 @@ func TestSplitSmootherAgreesWithUnsplitCycle(t *testing.T) {
 				}
 				var iters [2]int
 				for k, pre := range []sparse.Preconditioner{m.mg, ref} {
-					m.coldGuess()
-					x := append([]float64(nil), m.temps...)
-					it, err := sparse.SolveCG(m.fixed.Mat, x, m.power, sparse.CGOptions{Tol: cgTol, MaxIter: m.maxIter, Precond: pre})
+					x := make([]float64, m.nNodes)
+					coldGuess(x)
+					it, err := sparse.NewCGSolver(m.fixed.Mat).Solve(x, m.power, sparse.CGOptions{Tol: cgTol, MaxIter: m.maxIter, Precond: pre})
 					if err != nil {
 						t.Fatal(err)
 					}

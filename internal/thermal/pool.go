@@ -70,7 +70,7 @@ func takeIdle(k *modelKey) *Model {
 }
 
 // Release hands m back to the idle pool for a later Acquire of the same
-// construction. A model whose last steady-state solve failed is dropped
+// construction. A model whose last solve failed is dropped
 // instead, as are a nil model and one already released; the pool keeps no
 // reference to the Counters, Observer or Injector of its last owner. The
 // caller must not use m afterwards.

@@ -32,10 +32,11 @@ func idleCount(m *Model) int {
 	return 0
 }
 
-// TestAcquireMatchesNewModel: a pooled model whose last solve was placement
-// X solves placement Y exactly as a private NewModel's first solve of Y
-// does, in field bits, iterations and counters; a model whose solve failed,
-// on a negative power or a canceled context, does not go back to the pool.
+// TestAcquireMatchesNewModel: a pooled model whose last solve was a steady,
+// transient or liquid solve of placement X solves placement Y exactly as a
+// private NewModel's first solve of Y does, in field bits, iterations and
+// counters; a model whose solve failed, on a negative power or a canceled
+// steady, transient or liquid solve, does not go back to the pool.
 func TestAcquireMatchesNewModel(t *testing.T) {
 	grids := []int{16, 17, 64}
 	if !testing.Short() {
@@ -65,12 +66,6 @@ func TestAcquireMatchesNewModel(t *testing.T) {
 				return m, &ctr
 			}
 
-			m, _ := acquire()
-			if _, err := m.Solve(x); err != nil {
-				t.Fatal(err)
-			}
-			m.Release()
-
 			var freshCtr metrics.Counters
 			fresh, err := NewModel(pc.w, pc.h, Options{Grid: grid, Stack: &stack, Counters: &freshCtr})
 			if err != nil {
@@ -81,26 +76,41 @@ func TestAcquireMatchesNewModel(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			p, ctr := acquire()
-			if p != m {
-				t.Fatal("Acquire built a new model while one was idle")
-			}
-			got, err := p.Solve(y)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Iterations != want.Iterations {
-				t.Errorf("pooled model took %d iterations, new model %d", got.Iterations, want.Iterations)
-			}
-			for c, v := range want.ChipTempC {
-				if math.Float64bits(got.ChipTempC[c]) != math.Float64bits(v) {
-					t.Fatalf("cell %d: pooled model %v C, new model %v C", c, got.ChipTempC[c], v)
+			for _, last := range []struct {
+				name  string
+				solve func(m *Model) error
+			}{
+				{"steady", func(m *Model) error { _, err := m.Solve(x); return err }},
+				{"transient", func(m *Model) error { _, err := m.SolveTransient(context.Background(), x, 0.02, 3); return err }},
+				{"liquid", func(m *Model) error { _, err := m.SolveLiquid(context.Background(), x, LiquidCooling{}); return err }},
+			} {
+				m, _ := acquire()
+				if err := last.solve(m); err != nil {
+					t.Fatalf("%s: %v", last.name, err)
 				}
+				m.Release()
+
+				p, ctr := acquire()
+				if p != m {
+					t.Fatalf("after a %s solve: Acquire built a new model while one was idle", last.name)
+				}
+				got, err := p.Solve(y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Iterations != want.Iterations {
+					t.Errorf("after a %s solve: pooled model took %d iterations, new model %d", last.name, got.Iterations, want.Iterations)
+				}
+				for c, v := range want.ChipTempC {
+					if math.Float64bits(got.ChipTempC[c]) != math.Float64bits(v) {
+						t.Fatalf("after a %s solve: cell %d: pooled model %v C, new model %v C", last.name, c, got.ChipTempC[c], v)
+					}
+				}
+				if *ctr != freshCtr {
+					t.Errorf("after a %s solve: pooled model counted %+v, new model %+v", last.name, *ctr, freshCtr)
+				}
+				p.Release()
 			}
-			if *ctr != freshCtr {
-				t.Errorf("pooled model counted %+v, new model %+v", *ctr, freshCtr)
-			}
-			p.Release()
 
 			for _, fail := range []struct {
 				name  string
@@ -108,6 +118,8 @@ func TestAcquireMatchesNewModel(t *testing.T) {
 			}{
 				{"negative power", func(m *Model) error { _, err := m.Solve(bad); return err }},
 				{"canceled context", func(m *Model) error { _, err := m.SolveContext(canceled, y); return err }},
+				{"canceled transient", func(m *Model) error { _, err := m.SolveTransient(canceled, y, 0.02, 3); return err }},
+				{"canceled liquid", func(m *Model) error { _, err := m.SolveLiquid(canceled, y, LiquidCooling{}); return err }},
 			} {
 				q, _ := acquire()
 				if err := fail.solve(q); err == nil {

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -88,22 +89,46 @@ func precondCases() []precondCase {
 
 func solveWith(t *testing.T, pc precondCase, precond string) *Result {
 	t.Helper()
-	stack := material.DefaultStackFor(pc.w, pc.h)
-	m, err := NewModel(pc.w, pc.h, Options{Grid: pc.grid, Stack: &stack, Precond: precond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Solve(pc.sources)
+	res, err := precondModel(t, pc, precond).Solve(pc.sources)
 	if err != nil {
 		t.Fatalf("%s %s: %v", pc.name, precond, err)
 	}
 	return res
 }
 
+func precondModel(t *testing.T, pc precondCase, precond string) *Model {
+	t.Helper()
+	stack := material.DefaultStackFor(pc.w, pc.h)
+	m, err := NewModel(pc.w, pc.h, Options{Grid: pc.grid, Stack: &stack, Precond: precond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// transientLiquidWith runs pc's power-on transient (30 steps of 0.1 s, past
+// the CPU-DRAM case's 85 °C crossing) and its liquid-cooled steady solve on
+// a new model under precond.
+func transientLiquidWith(t *testing.T, pc precondCase, precond string) (*Transient, *Result) {
+	t.Helper()
+	tr, err := precondModel(t, pc, precond).SolveTransient(context.Background(), pc.sources, 0.1, 30)
+	if err != nil {
+		t.Fatalf("%s %s transient: %v", pc.name, precond, err)
+	}
+	liq, err := precondModel(t, pc, precond).SolveLiquid(context.Background(), pc.sources, LiquidCooling{})
+	if err != nil {
+		t.Fatalf("%s %s liquid: %v", pc.name, precond, err)
+	}
+	return tr, liq
+}
+
 // TestPrecondAgreement: both preconditioners solve the same SPD system to
 // the same tolerance, so the multigrid fields must match the Jacobi reference
 // on all three paper case studies and a generated 128-grid scenario — to well
 // within the accuracy the tolerance implies, independent of iteration counts.
+// The same holds for the transient and liquid solves, which run on the same
+// path: every step peak and the liquid peak agree to the same 0.02 °C, and
+// the 85 °C crossing time is the same.
 func TestPrecondAgreement(t *testing.T) {
 	for _, pc := range precondCases() {
 		t.Run(pc.name, func(t *testing.T) {
@@ -120,6 +145,25 @@ func TestPrecondAgreement(t *testing.T) {
 			}
 			if worst > 0.02 {
 				t.Errorf("mg field deviates %.4f C from jacobi", worst)
+			}
+
+			if pc.grid > 64 && testing.Short() {
+				return // grid-128 Jacobi transients are slow under -short
+			}
+			refTr, refLiq := transientLiquidWith(t, pc, "jacobi")
+			gotTr, gotLiq := transientLiquidWith(t, pc, "mg")
+			for k, p := range gotTr.PeakC {
+				if math.Abs(p-refTr.PeakC[k]) > 0.02 {
+					t.Errorf("transient step %d: mg peak %.4f vs jacobi %.4f", k+1, p, refTr.PeakC[k])
+				}
+			}
+			gotT, gotOK := gotTr.TimeToThresholdS(85)
+			refT, refOK := refTr.TimeToThresholdS(85)
+			if gotT != refT || gotOK != refOK {
+				t.Errorf("85 C crossing: mg %v (%v) vs jacobi %v (%v)", gotT, gotOK, refT, refOK)
+			}
+			if math.Abs(gotLiq.PeakC-refLiq.PeakC) > 0.02 {
+				t.Errorf("liquid: mg peak %.4f vs jacobi %.4f", gotLiq.PeakC, refLiq.PeakC)
 			}
 		})
 	}

@@ -95,21 +95,20 @@ func TestPeakInsideSourceFootprint(t *testing.T) {
 }
 
 // TestIncrementalMatchesFullAssembly: the incremental solve path (delta
-// rasterization + in-place matrix refresh) must agree with the full
-// rasterize/assemble/build path cell by cell across a long random perturbation
-// sequence. Both models see the identical source history, so their CG warm
-// starts line up and the comparison isolates the assembly machinery; the
-// incremental path is designed to be bit-identical, and this test enforces a
-// 1e-9 relative ceiling per cell.
+// rasterization + in-place matrix refresh) must agree with a full assembly
+// cell by cell across a long random perturbation sequence. The reference is
+// a new model per step, whose first solve assembles the whole matrix
+// (initIncremental) and builds its hierarchy from scratch, seeded through
+// RestoreWarmState with the previous reference field, so both paths see the
+// same CG warm starts and the comparison isolates the assembly machinery;
+// the incremental path is designed to be bit-identical, and this test
+// enforces a 1e-9 relative ceiling per cell.
 func TestIncrementalMatchesFullAssembly(t *testing.T) {
 	inc, err := NewModel(45, 45, Options{Grid: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := NewModel(45, 45, Options{Grid: 20, DisableIncremental: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var warm []float64
 	rng := rand.New(rand.NewSource(99))
 	srcs := []Source{
 		{Rect: geom.Rect{Center: geom.Point{X: 12, Y: 12}, W: 8, H: 6}, Power: 90},
@@ -134,10 +133,18 @@ func TestIncrementalMatchesFullAssembly(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: incremental: %v", step, err)
 		}
+		full, err := NewModel(45, 45, Options{Grid: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := full.RestoreWarmState(warm); err != nil {
+			t.Fatal(err)
+		}
 		rf, err := full.Solve(srcs)
 		if err != nil {
 			t.Fatalf("step %d: full: %v", step, err)
 		}
+		warm = full.WarmState()
 		for c := range rf.ChipTempC {
 			got, want := ri.ChipTempC[c], rf.ChipTempC[c]
 			if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {

@@ -35,19 +35,21 @@ type RecoveryInfo struct {
 	Degraded bool `json:"degraded"`
 }
 
-// coldGuess resets the temperature field to the uniform cold-start guess.
-func (m *Model) coldGuess() {
-	for i := range m.temps {
-		m.temps[i] = 1
+// coldGuess resets x to the uniform cold-start guess.
+func coldGuess(x []float64) {
+	for i := range x {
+		x[i] = 1
 	}
 }
 
-// runCG performs one CG attempt on the assembled system with the model's
-// observability trace attached, reusing cg's scratch when available. A nil
-// opt.Precond makes the solver precondition with the matrix diagonal
-// (Jacobi); otherwise it is the model's multigrid hierarchy (set by
-// solveAssembled or the recovery ladder), whose V-cycles the attempt counts.
-func (m *Model) runCG(ctx context.Context, a *sparse.CSR, cg *sparse.CGSolver, opt sparse.CGOptions) (int, error) {
+// runCG performs one CG attempt on cg's matrix, solving for x (the initial
+// guess on entry) against the right-hand side b, with the model's
+// observability trace attached. It is the one place the model runs CG, so
+// it also counts: a converged attempt is one thermal solve and its
+// iterations, and every attempt's V-cycles are counted, failed ones too. A
+// nil opt.Precond makes the solver precondition with the matrix diagonal
+// (Jacobi); otherwise it is the model's multigrid hierarchy.
+func (m *Model) runCG(ctx context.Context, cg *sparse.CGSolver, x, b []float64, opt sparse.CGOptions) (int, error) {
 	var trace *obs.CGTrace
 	if m.obs.Enabled() {
 		trace = m.obs.StartCG()
@@ -57,16 +59,14 @@ func (m *Model) runCG(ctx context.Context, a *sparse.CSR, cg *sparse.CGSolver, o
 	if opt.Precond != nil {
 		cycles0 = m.mg.Cycles()
 	}
-	var iters int
-	var err error
-	if cg != nil {
-		iters, err = cg.SolveContext(ctx, m.temps, m.power, opt)
-	} else {
-		iters, err = sparse.SolveCGContext(ctx, a, m.temps, m.power, opt)
-	}
+	iters, err := cg.SolveContext(ctx, x, b, opt)
 	m.obs.EndCG(trace, iters, err == nil)
 	if opt.Precond != nil {
 		m.addMGCycles(m.mg.Cycles() - cycles0)
+	}
+	if err == nil && m.ctr != nil {
+		m.ctr.ThermalSolves++
+		m.ctr.CGIterations += int64(iters)
 	}
 	return iters, err
 }
@@ -98,30 +98,30 @@ func recoverable(ctx context.Context, err error) bool {
 // counter and runs under a labeled span. The first rung to converge wins;
 // when all rungs fail the original failure class (ErrNoConvergence)
 // propagates.
-func (m *Model) recoverSolve(ctx context.Context, a *sparse.CSR, cg *sparse.CGSolver, opt sparse.CGOptions) (*RecoveryInfo, int, error) {
+func (m *Model) recoverSolve(ctx context.Context, a *sparse.CSR, cg *sparse.CGSolver, x, b []float64, opt sparse.CGOptions) (int, *RecoveryInfo, error) {
 	rec := &RecoveryInfo{}
 
 	// Rung 1: cold restart.
 	sp := m.obs.StartSpanCtx(ctx, obs.PhaseThermalSolve, "recover:cold_restart")
-	m.coldGuess()
+	coldGuess(x)
 	rec.ColdRestarts++
 	if m.ctr != nil {
 		m.ctr.CGRetries++
 	}
 	m.obs.Add("cg_retries", 1)
-	iters, err := m.runCG(ctx, a, cg, opt)
+	iters, err := m.runCG(ctx, cg, x, b, opt)
 	sp.End()
 	if err == nil {
-		return rec, iters, nil
+		return iters, rec, nil
 	}
 	if !recoverable(ctx, err) {
-		return rec, iters, err
+		return iters, rec, err
 	}
 
 	// Rung 2: multigrid fallback, cold start (Jacobi models only).
 	if m.precond == precondJacobi {
 		sp = m.obs.StartSpanCtx(ctx, obs.PhaseThermalSolve, "recover:mg")
-		m.coldGuess()
+		coldGuess(x)
 		rec.PrecondFallback = true
 		if m.ctr != nil {
 			m.ctr.CGFallbackPrecond++
@@ -130,30 +130,30 @@ func (m *Model) recoverSolve(ctx context.Context, a *sparse.CSR, cg *sparse.CGSo
 		mg, err := m.ensureMG(sp, a)
 		if err != nil {
 			sp.End()
-			return rec, 0, err
+			return 0, rec, err
 		}
 		opt = withMG(opt, mg)
-		iters, err = m.runCG(ctx, a, cg, opt)
+		iters, err = m.runCG(ctx, cg, x, b, opt)
 		sp.End()
 		if err == nil {
-			return rec, iters, nil
+			return iters, rec, nil
 		}
 		if !recoverable(ctx, err) {
-			return rec, iters, err
+			return iters, rec, err
 		}
 	}
 
 	// Rung 3: relaxed tolerance, last resort.
 	sp = m.obs.StartSpanCtx(ctx, obs.PhaseThermalSolve, "recover:relaxed_tol")
-	m.coldGuess()
+	coldGuess(x)
 	relaxed := opt
 	relaxed.Tol = opt.Tol * relaxedTolFactor
 	rec.RelaxedTol = relaxed.Tol
-	iters, err = m.runCG(ctx, a, cg, relaxed)
+	iters, err = m.runCG(ctx, cg, x, b, relaxed)
 	sp.End()
 	if err == nil {
 		rec.Degraded = true
-		return rec, iters, nil
+		return iters, rec, nil
 	}
-	return rec, iters, fmt.Errorf("recovery ladder exhausted: %w", err)
+	return iters, rec, fmt.Errorf("recovery ladder exhausted: %w", err)
 }

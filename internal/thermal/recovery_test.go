@@ -273,8 +273,8 @@ func TestMultigridBudgetStopsStalledSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.coldGuess()
-	iters, err := m.runCG(context.Background(), a, cg, withMG(sparse.CGOptions{Tol: 1e-300}, mg))
+	coldGuess(m.temps)
+	iters, err := m.runCG(context.Background(), cg, m.temps, m.power, withMG(sparse.CGOptions{Tol: 1e-300}, mg))
 	if !errors.Is(err, sparse.ErrNoConvergence) {
 		t.Fatalf("err = %v after %d iterations, want ErrNoConvergence", err, iters)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"tap25d/internal/obs"
-	"tap25d/internal/sparse"
 )
 
 // SolveBatch solves the steady-state field of B power scenarios of one
@@ -29,8 +28,8 @@ import (
 //
 // A done ctx fails the batch at the CG loop's poll before the next
 // iteration, the first of a column included. Counter accounting matches B
-// independent solves:
-// ThermalSolves += B and CGIterations accumulates every column's iterations.
+// independent solves: every converged column adds one to ThermalSolves and
+// its iterations to CGIterations.
 func (m *Model) SolveBatch(ctx context.Context, specs [][]Source) ([]*Result, error) {
 	if len(specs) == 0 {
 		return nil, nil
@@ -53,49 +52,22 @@ func (m *Model) SolveBatch(ctx context.Context, specs [][]Source) ([]*Result, er
 	if err != nil {
 		return nil, err
 	}
-	if cg == nil {
-		cg = sparse.NewCGSolver(a)
-	}
-
-	opt := sparse.CGOptions{Tol: cgTol, MaxIter: m.maxIter, Inject: m.inject}
-	if m.precond == precondMG {
-		mg, err := m.ensureMG(sp, a)
-		if err != nil {
-			return nil, fmt.Errorf("thermal: %w", err)
-		}
-		opt = withMG(opt, mg)
-	}
 
 	results := make([]*Result, len(specs))
 	b := make([]float64, m.nNodes)
-	var total int64
 	for c, list := range specs {
 		if err := m.powerVector(b, list); err != nil {
 			return nil, err
 		}
 		x := make([]float64, m.nNodes)
-		for i := range x {
-			x[i] = 1 // the uniform cold-start guess (see coldGuess)
-		}
-		var cycles0 int64
-		if opt.Precond != nil {
-			cycles0 = m.mg.Cycles()
-		}
-		iters, err := cg.SolveContext(ctx, x, b, opt)
-		if opt.Precond != nil {
-			m.addMGCycles(m.mg.Cycles() - cycles0)
-		}
+		coldGuess(x)
+		iters, _, err := m.solve(ctx, sp, a, cg, x, b, false)
 		if err != nil {
 			return nil, fmt.Errorf("thermal: batch column %d: %w", c, err)
 		}
 		if results[c], err = m.buildResult(x, 1, iters); err != nil {
 			return nil, err
 		}
-		total += int64(iters)
-	}
-	if m.ctr != nil {
-		m.ctr.ThermalSolves += int64(len(specs))
-		m.ctr.CGIterations += total
 	}
 	return results, nil
 }

@@ -45,22 +45,13 @@ type Options struct {
 	// Stack describes the layers and boundary; zero value means
 	// material.DefaultStack().
 	Stack *material.Stack
-	// Precond selects the CG preconditioner of steady-state solves. The
-	// empty default and "mg" are the geometric multigrid V-cycle at every
-	// grid; "jacobi" forces the matrix diagonal, the reference path of the
+	// Precond selects the CG preconditioner of every solve. The empty
+	// default and "mg" are the geometric multigrid V-cycle at every grid;
+	// "jacobi" forces the matrix diagonal, the reference path of the
 	// solver-scaling bench and of the tests that exercise Jacobi-specific
 	// behaviour (the recovery ladder's multigrid rung), not a user-facing
 	// option.
-	//
-	// The selection applies to Solve/SolveContext/SolveScaled/SolveBatch; the transient
-	// and liquid-cooling solvers keep their Jacobi path.
 	Precond string
-	// DisableIncremental forces every Solve through the full
-	// rasterize/assemble/build path. The incremental path produces
-	// bit-identical temperatures (the equivalence property test enforces
-	// this), so this switch exists for benchmarking and verification, not
-	// correctness.
-	DisableIncremental bool
 	// Counters, when non-nil, receives the model's solve/assembly statistics.
 	// The model does not synchronize access: share a Counters only among
 	// models used from one goroutine.
@@ -155,8 +146,9 @@ type Model struct {
 	obs    *obs.Observer
 	inject *faultinject.Injector
 
-	// failed records that the last steady-state solve returned an error;
-	// Release drops such a model. idle marks a model held by the pool.
+	// failed records that the last steady, transient or liquid solve
+	// returned an error; Release drops such a model. idle marks a model held
+	// by the pool.
 	failed, idle bool
 }
 
@@ -202,15 +194,14 @@ type modelKey struct {
 	grid              int
 	stack             material.Stack
 	precond           string
-	noInc, noRecover  bool
+	noRecover         bool
 }
 
 // newModelKey validates and normalizes NewModel's arguments. The stack's
 // layers are copied, so a caller that edits its stack afterwards changes
 // neither the model nor its key.
 func newModelKey(widthMM, heightMM float64, opt Options) (modelKey, error) {
-	k := modelKey{widthMM: widthMM, heightMM: heightMM, grid: opt.Grid,
-		noInc: opt.DisableIncremental, noRecover: opt.DisableRecovery}
+	k := modelKey{widthMM: widthMM, heightMM: heightMM, grid: opt.Grid, noRecover: opt.DisableRecovery}
 	if widthMM <= 0 || heightMM <= 0 {
 		return k, fmt.Errorf("thermal: non-positive interposer dimensions %g x %g", widthMM, heightMM)
 	}
@@ -246,7 +237,7 @@ func newModelKey(widthMM, heightMM float64, opt Options) (modelKey, error) {
 // equal reports whether k and o build alike; the stack compares by value.
 func (k *modelKey) equal(o *modelKey) bool {
 	return k.widthMM == o.widthMM && k.heightMM == o.heightMM && k.grid == o.grid &&
-		k.precond == o.precond && k.noInc == o.noInc && k.noRecover == o.noRecover &&
+		k.precond == o.precond && k.noRecover == o.noRecover &&
 		reflect.DeepEqual(k.stack, o.stack)
 }
 
@@ -453,10 +444,10 @@ func (m *Model) rasterize(sources []Source) error {
 // layer, whose per-cell conductivity is silicon where covered by any source
 // footprint and underfill elsewhere (area-weighted in partial cells).
 //
-// By default consecutive solves take the incremental path: the conductance
-// matrix is assembled once, and later source lists update only the matrix
-// values and power cells under the changed footprints. The temperatures are
-// bit-identical to the full rebuild either way.
+// Consecutive solves take the incremental path: the conductance matrix is
+// assembled once, and later source lists update only the matrix values and
+// power cells under the changed footprints. The temperatures are
+// bit-identical to a new model's full assembly of the same sources.
 func (m *Model) Solve(sources []Source) (*Result, error) {
 	return m.SolveContext(context.Background(), sources)
 }
@@ -518,31 +509,13 @@ func (m *Model) solveSpanned(ctx context.Context, sp *obs.Span, sources []Source
 }
 
 // prepareAssembled rasterizes sources and brings the conductance matrix up to
-// date, via the full rebuild or the incremental delta path, and returns the
-// assembled system: the front half of every steady-state solve.
+// date, via the one-time full assembly, the full rewrite after ResetCold or
+// the incremental delta path, and returns the assembled system and its
+// solver: the front half of every steady-state solve.
 func (m *Model) prepareAssembled(sp *obs.Span, sources []Source) (*sparse.CSR, *sparse.CGSolver, error) {
 	if err := m.inject.Hit(faultinject.PointThermalAssemble); err != nil {
 		return nil, nil, fmt.Errorf("thermal: %w", err)
 	}
-	if m.noInc {
-		asp := sp.Child(obs.PhaseThermalAssemble, "full")
-		err := m.rasterize(sources)
-		var a *sparse.CSR
-		if err == nil {
-			m.assemble()
-			a = m.builder.Build()
-			m.valGen++
-			if m.ctr != nil {
-				m.ctr.FullAssembles++
-			}
-		}
-		asp.End()
-		if err != nil {
-			return nil, nil, err
-		}
-		return a, nil, nil
-	}
-
 	if m.fixed == nil {
 		asp := sp.Child(obs.PhaseThermalAssemble, "init")
 		err := m.initIncremental(sources)
@@ -588,9 +561,10 @@ func (m *Model) prepareAssembled(sp *obs.Span, sources []Source) (*sparse.CSR, *
 }
 
 // ensureMG returns the multigrid hierarchy for the assembled matrix a,
-// building it on first use (or when the matrix identity changed — a full
-// rebuild or a DisableIncremental solve produces a fresh CSR) and numerically
-// refreshing it after every value-changing assembly. The symbolic
+// building it on first use (or when the matrix identity changed — a
+// transient or liquid solve assembles a matrix of its own, and the next
+// steady solve a fresh one) and numerically refreshing it after every
+// value-changing assembly. The symbolic
 // coarsening is cached process-wide by (geometry, pattern), so replicas and
 // worker pools solving the same stack share it. Either step runs in an
 // mg_refresh child of sp (labeled build or refresh).
@@ -691,28 +665,34 @@ func (m *Model) RestoreWarmState(temps []float64) error {
 	return nil
 }
 
-// solveAssembled runs CG on the assembled system and extracts the result.
-// When cg is non-nil its scratch buffers are reused; otherwise a one-shot
-// solve runs on a (bit-identical, just slower to set up). sp (nil when
-// observability is disabled) parents the hierarchy's mg_refresh span.
-func (m *Model) solveAssembled(ctx context.Context, sp *obs.Span, a *sparse.CSR, cg *sparse.CGSolver) (*Result, error) {
-	if !m.warm {
-		m.coldGuess()
-	}
+// solve runs CG on a·x = b through cg, a solver bound to a, from the guess
+// in x. On a multigrid model the preconditioner is its hierarchy for a,
+// built or refreshed in an mg_refresh child of sp (nil when observability
+// is disabled); with ladder set, the recovery ladder rescues a
+// non-convergence. Steady, batch, transient and liquid solves all run here.
+func (m *Model) solve(ctx context.Context, sp *obs.Span, a *sparse.CSR, cg *sparse.CGSolver, x, b []float64, ladder bool) (int, *RecoveryInfo, error) {
 	opt := sparse.CGOptions{Tol: cgTol, MaxIter: m.maxIter, Inject: m.inject}
 	if m.precond == precondMG {
 		mg, err := m.ensureMG(sp, a)
 		if err != nil {
-			m.warm = false
-			return nil, fmt.Errorf("thermal: %w", err)
+			return 0, nil, err
 		}
 		opt = withMG(opt, mg)
 	}
-	iters, err := m.runCG(ctx, a, cg, opt)
-	var rec *RecoveryInfo
-	if err != nil && recoverable(ctx, err) && !m.noRecover {
-		rec, iters, err = m.recoverSolve(ctx, a, cg, opt)
+	iters, err := m.runCG(ctx, cg, x, b, opt)
+	if err == nil || !ladder || !recoverable(ctx, err) {
+		return iters, nil, err
 	}
+	return m.recoverSolve(ctx, a, cg, x, b, opt)
+}
+
+// solveAssembled solves the assembled steady-state system on the model's
+// warm-start field and extracts the result.
+func (m *Model) solveAssembled(ctx context.Context, sp *obs.Span, a *sparse.CSR, cg *sparse.CGSolver) (*Result, error) {
+	if !m.warm {
+		coldGuess(m.temps)
+	}
+	iters, rec, err := m.solve(ctx, sp, a, cg, m.temps, m.power, !m.noRecover)
 	if err != nil {
 		m.warm = false
 		return nil, fmt.Errorf("thermal: %w", err)
@@ -724,10 +704,6 @@ func (m *Model) solveAssembled(ctx context.Context, sp *obs.Span, a *sparse.CSR,
 	}
 	m.warm = true
 	m.warmGood = append(m.warmGood[:0], m.temps...)
-	if m.ctr != nil {
-		m.ctr.ThermalSolves++
-		m.ctr.CGIterations += int64(iters)
-	}
 	res.Recovery = rec
 	return res, nil
 }

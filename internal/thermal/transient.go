@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"tap25d/internal/material"
+	"tap25d/internal/obs"
 	"tap25d/internal/sparse"
 )
 
@@ -28,9 +29,12 @@ type Transient struct {
 // backward Euler from ambient (T = 0 rise) over nsteps steps of dt seconds,
 // recording the peak temperature after every step. The implicit scheme is
 // unconditionally stable, so dt can span the millisecond package time
-// constants without resolving the microsecond die ones. ctx is checked
-// before every step and polled inside each step's CG solve, and a canceled
-// transient returns ctx's error; an uncancelled one does not depend on ctx.
+// constants without resolving the microsecond die ones. Every step is one
+// solve on the model's path (its preconditioner, recovery ladder, counters
+// and observer), warm-started from the previous step, under one
+// thermal_solve span labeled transient. ctx is checked before every step
+// and polled inside each step's CG solve, and a canceled transient returns
+// ctx's error; an uncancelled one does not depend on ctx.
 func (m *Model) SolveTransient(ctx context.Context, sources []Source, dt float64, nsteps int) (*Transient, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("thermal: non-positive time step %g", dt)
@@ -38,6 +42,26 @@ func (m *Model) SolveTransient(ctx context.Context, sources []Source, dt float64
 	if nsteps <= 0 {
 		return nil, fmt.Errorf("thermal: non-positive step count %d", nsteps)
 	}
+	sp := m.obs.StartSpanCtx(ctx, obs.PhaseThermalSolve, "transient")
+	out, err := m.transientSteps(ctx, sp, sources, dt, nsteps)
+	sp.End()
+	if err != nil {
+		m.failed = true
+		return nil, err
+	}
+	// The steady-state reference starts cold, as on a new model.
+	m.warm = false
+	steady, err := m.SolveContext(ctx, sources)
+	if err != nil {
+		return nil, err
+	}
+	out.SteadyPeakC = steady.PeakC
+	return out, nil
+}
+
+// transientSteps is the SolveTransient body before the steady reference,
+// with sp as the parent of the hierarchy's mg_refresh span.
+func (m *Model) transientSteps(ctx context.Context, sp *obs.Span, sources []Source, dt float64, nsteps int) (*Transient, error) {
 	m.invalidateIncremental() // overwrites the fields the fixed matrix is keyed on
 	if err := m.rasterize(sources); err != nil {
 		return nil, err
@@ -54,6 +78,7 @@ func (m *Model) SolveTransient(ctx context.Context, sources []Source, dt float64
 	if err := a.AddToDiag(coverDt); err != nil {
 		return nil, fmt.Errorf("thermal: %w", err)
 	}
+	cg := sparse.NewCGSolver(a)
 
 	g := m.grid
 	t := make([]float64, m.nNodes) // rise over ambient, starts at 0
@@ -66,7 +91,7 @@ func (m *Model) SolveTransient(ctx context.Context, sources []Source, dt float64
 		for i := range rhs {
 			rhs[i] = m.power[i] + coverDt[i]*t[i]
 		}
-		if _, err := sparse.SolveCGContext(ctx, a, t, rhs, sparse.CGOptions{Tol: cgTol, MaxIter: m.maxIter}); err != nil {
+		if _, _, err := m.solve(ctx, sp, a, cg, t, rhs, !m.noRecover); err != nil {
 			return nil, fmt.Errorf("thermal: transient step %d: %w", step, err)
 		}
 		peak := math.Inf(-1)
@@ -80,14 +105,6 @@ func (m *Model) SolveTransient(ctx context.Context, sources []Source, dt float64
 		out.TimesS = append(out.TimesS, float64(step)*dt)
 		out.PeakC = append(out.PeakC, m.stack.AmbientC+peak)
 	}
-	// Steady-state reference (invalidates the transient warm-start state,
-	// so refresh the solver's cache deliberately).
-	m.warm = false
-	steady, err := m.SolveContext(ctx, sources)
-	if err != nil {
-		return nil, err
-	}
-	out.SteadyPeakC = steady.PeakC
 	return out, nil
 }
 

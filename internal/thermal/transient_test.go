@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"tap25d/internal/geom"
+	"tap25d/internal/metrics"
+	"tap25d/internal/obs"
 )
 
 func TestTransientValidation(t *testing.T) {
@@ -130,5 +132,58 @@ func TestSteadySolveStillWorksAfterTransient(t *testing.T) {
 	}
 	if math.Abs(ref.PeakC-again.PeakC) > 1e-3 {
 		t.Errorf("steady solve changed after transient: %v vs %v", ref.PeakC, again.PeakC)
+	}
+}
+
+// TestTransientAndLiquidCountOnTheSolvePath: transient steps and liquid
+// fixed-point iterations run on the model's solve path, so they count like
+// steady solves (one thermal solve and its iterations per converged CG
+// solve, one V-cycle per iteration) and record one thermal_solve span
+// labeled transient or liquid, parenting the hierarchy's build.
+func TestTransientAndLiquidCountOnTheSolvePath(t *testing.T) {
+	src := []Source{centeredSource(150)}
+	for _, tc := range []struct {
+		name  string
+		solve func(m *Model) (int64, error)
+	}{
+		{"transient", func(m *Model) (int64, error) {
+			_, err := m.SolveTransient(context.Background(), src, 0.1, 5)
+			return 5 + 1, err // five steps and the steady reference
+		}},
+		{"liquid", func(m *Model) (int64, error) {
+			_, err := m.SolveLiquid(context.Background(), src, LiquidCooling{})
+			return 0, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ctr metrics.Counters
+			o := obs.New()
+			m, err := NewModel(45, 45, Options{Grid: 32, Counters: &ctr, Obs: o})
+			if err != nil {
+				t.Fatal(err)
+			}
+			solves, err := tc.solve(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if solves > 0 && ctr.ThermalSolves != solves || ctr.ThermalSolves == 0 {
+				t.Errorf("thermal_solves = %d, want %d", ctr.ThermalSolves, solves)
+			}
+			if ctr.CGIterations == 0 || ctr.MGCycles != ctr.CGIterations {
+				t.Errorf("mg_cycles = %d, cg_iters = %d; want one V-cycle per iteration", ctr.MGCycles, ctr.CGIterations)
+			}
+			var labeled, builds int
+			for _, sp := range o.RecentSpans() {
+				switch {
+				case sp.Phase == obs.PhaseThermalSolve.String() && sp.Label == tc.name:
+					labeled++
+				case sp.Phase == obs.PhaseMGRefresh.String() && sp.Parent == obs.PhaseThermalSolve.String():
+					builds++
+				}
+			}
+			if labeled != 1 || builds == 0 {
+				t.Errorf("%d thermal_solve spans labeled %s and %d mg_refresh spans under a solve, want 1 and some", labeled, tc.name, builds)
+			}
+		})
 	}
 }

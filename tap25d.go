@@ -669,7 +669,8 @@ func EvaluateScenarios(sys *System, p Placement, powerScales []float64, opt Opti
 // instead of the forced-air heatsink: the paper's introduction frames this
 // as the expensive alternative to thermally-aware placement, and this
 // function lets the two be compared directly (experiment E12).
-// Options.Context cancels the conduction solves.
+// Options.Context cancels the conduction solves. The solve runs on a model
+// from the idle pool (thermal.Acquire), as Evaluate's does.
 func EvaluateLiquid(sys *System, p Placement, lc LiquidCooling, opt Options) (*Result, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
@@ -677,10 +678,11 @@ func EvaluateLiquid(sys *System, p Placement, lc LiquidCooling, opt Options) (*R
 	if err := sys.CheckPlacement(p); err != nil {
 		return nil, err
 	}
-	model, err := thermal.NewModel(sys.InterposerW, sys.InterposerH, opt.thermalOptions(sys))
+	model, err := thermal.Acquire(sys.InterposerW, sys.InterposerH, opt.thermalOptions(sys))
 	if err != nil {
 		return nil, err
 	}
+	defer model.Release()
 	ctx := opt.context()
 	tres, err := model.SolveLiquid(ctx, placer.Sources(sys, p), lc)
 	if err != nil {
@@ -721,7 +723,8 @@ func wrapRouteErr(err error) error {
 // Use TransientResult.TimeToThresholdS to answer boost-residency questions
 // ("how long until this placement hits 85 °C?") — an extension of the
 // paper's steady-state methodology. Options.Context cancels the
-// simulation between steps and inside each step's solve.
+// simulation between steps and inside each step's solve. The simulation
+// runs on a model from the idle pool (thermal.Acquire), as Evaluate's does.
 func Transient(sys *System, p Placement, dtS float64, nsteps int, opt Options) (*TransientResult, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
@@ -729,10 +732,11 @@ func Transient(sys *System, p Placement, dtS float64, nsteps int, opt Options) (
 	if err := sys.CheckPlacement(p); err != nil {
 		return nil, err
 	}
-	model, err := thermal.NewModel(sys.InterposerW, sys.InterposerH, opt.thermalOptions(sys))
+	model, err := thermal.Acquire(sys.InterposerW, sys.InterposerH, opt.thermalOptions(sys))
 	if err != nil {
 		return nil, err
 	}
+	defer model.Release()
 	return model.SolveTransient(opt.context(), placer.Sources(sys, p), dtS, nsteps)
 }
 
